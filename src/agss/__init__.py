@@ -13,13 +13,9 @@ from .field import (
     DivisionByZeroError,
     FieldElement,
     FieldMismatchError,
-    Matrix,
     NoSolutionError,
     PrimeField,
     is_prime,
-    mat_kernel,
-    mat_rank,
-    mat_solve,
 )
 from .curves import (
     AffinePoint,

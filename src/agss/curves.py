@@ -275,11 +275,6 @@ class HyperellipticCurve:
 Curve = Union[EllipticCurve, HyperellipticCurve]
 
 
-def curve_new(spec: str) -> Curve:
-    """Build a validated curve from its specification string."""
-    return parse_curve_spec(spec)
-
-
 def elliptic_curve(p: int, a: int, b: int) -> EllipticCurve:
     field = PrimeField(p)
     return EllipticCurve(field, field.element(a), field.element(b))
@@ -467,8 +462,8 @@ def rr_basis(curve: Curve, m: int) -> MonomialBasis:
     return MonomialBasis(g, m, tuple(pairs))
 
 
-def eval_basis(curve: Curve, basis: MonomialBasis, pt: Point) -> tuple[FieldElement, ...]:
-    """Evaluate every basis monomial at an affine point of the curve."""
+def eval_basis(curve: Curve, basis: MonomialBasis, pt: Point) -> tuple[int, ...]:
+    """Evaluate every basis monomial at an affine point; values reduced mod p."""
     if is_infinity(pt):
         raise EvalAtInfinityError("evaluation points must be affine")
     if not curve.contains(pt):
@@ -479,11 +474,7 @@ def eval_basis(curve: Curve, basis: MonomialBasis, pt: Point) -> tuple[FieldElem
     xp = [1] * (max_i + 1)
     for i in range(1, max_i + 1):
         xp[i] = xp[i - 1] * x % p
-    out = []
-    for i, j in basis.exponents:
-        v = xp[i] * y % p if j else xp[i]
-        out.append(curve.field.element(v))
-    return tuple(out)
+    return tuple(xp[i] * y % p if j else xp[i] for i, j in basis.exponents)
 
 
 # --- specification strings ---------------------------------------------------

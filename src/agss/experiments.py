@@ -27,10 +27,12 @@ import numpy as np
 
 from . import __version__
 from .curves import (
+    BadDegreeError,
     Curve,
     EllipticCurve,
     HyperellipticCurve,
     PrimeField,
+    SingularCurveError,
     affine_points,
     enumerate_points,
     format_curve_spec,
@@ -228,9 +230,14 @@ def bound_theorem3(n: int, t: int, group_order: int, phi: float) -> BoundReport:
     return BoundReport(phi, m_value, main, err, main + err, group_order=group_order)
 
 
-def _star_terms(q: int, g: int, n: int, t: int, phi: float, d: int):
-    """Shared evaluation of the genus >= 2 bound at divisor degree d."""
+def _star_bound(q: int, g: int, n: int, t: int, c: int, d: int) -> BoundReport:
+    """The genus >= 2 bound at divisor degree d.
+
+    The amplitude is estimated by the Weil value (2g - 2) sqrt(q) + c, where
+    c is the number of rational points left out of the player set.
+    """
     sq = math.sqrt(q)
+    phi = (2 * g - 2) * sq + c
     factor = 2 * g * sq / (sq - 1) - q / (q - 1)
     scale = q ** (-(g - d))
     lead = scale * factor
@@ -248,24 +255,18 @@ def _star_terms(q: int, g: int, n: int, t: int, phi: float, d: int):
     tail = (sq + 1) ** (2 * g) * scale * factor * star
     h_window = ((sq - 1) ** (2 * g), (sq + 1) ** (2 * g))
     w_bound = h_window[1] * scale * factor
-    return m_value, lead, tail, star, h_window, w_bound
-
-
-def bound_theorem4(q: int, genus: int, n: int, t: int, m: int, c: int) -> BoundReport:
-    """Genus >= 2 bound on the qualified proportion in the regime 0 <= m - t < g.
-
-    The amplitude is estimated by the Weil value (2g - 2) sqrt(q) + c, where
-    c is the number of rational points left out of the player set.
-    """
-    d = m - t
-    if not 0 <= d < genus:
-        raise RegimeMismatchError(f"need 0 <= m - t < g, got m-t={d}, g={genus}")
-    phi = (2 * genus - 2) * math.sqrt(q) + c
-    m_value, lead, tail, star, h_window, w_bound = _star_terms(q, genus, n, t, phi, d)
     return BoundReport(
         phi, m_value, lead, tail, lead + tail,
         h_window=h_window, w_bound=w_bound, star_product=star,
     )
+
+
+def bound_theorem4(q: int, genus: int, n: int, t: int, m: int, c: int) -> BoundReport:
+    """Genus >= 2 bound on the qualified proportion in the regime 0 <= m - t < g."""
+    d = m - t
+    if not 0 <= d < genus:
+        raise RegimeMismatchError(f"need 0 <= m - t < g, got m-t={d}, g={genus}")
+    return _star_bound(q, genus, n, t, c, d)
 
 
 def bound_regime2(q: int, genus: int, n: int, t: int, m: int, c: int) -> BoundReport:
@@ -275,13 +276,7 @@ def bound_regime2(q: int, genus: int, n: int, t: int, m: int, c: int) -> BoundRe
     """
     if not genus <= m - t < 2 * genus:
         raise RegimeMismatchError(f"need g <= m - t < 2g, got m-t={m - t}, g={genus}")
-    s = 2 * genus - 1 - (m - t)
-    phi = (2 * genus - 2) * math.sqrt(q) + c
-    m_value, lead, tail, star, h_window, w_bound = _star_terms(q, genus, n, t, phi, s)
-    return BoundReport(
-        phi, m_value, lead, tail, lead + tail,
-        h_window=h_window, w_bound=w_bound, star_product=star,
-    )
+    return _star_bound(q, genus, n, t, c, 2 * genus - 1 - (m - t))
 
 
 # --- geometric sanity checks ---------------------------------------------------
@@ -336,7 +331,7 @@ def find_hyperelliptic_curve(q: int, genus: int = 2) -> HyperellipticCurve:
         coeffs = [a, 1] + [0] * (deg - 2) + [1]
         try:
             return hyperelliptic_curve(q, coeffs)
-        except Exception:
+        except (SingularCurveError, BadDegreeError):
             continue
     raise RuntimeError(f"no squarefree curve of the search form over F_{q}")
 

@@ -2,15 +2,14 @@
 
 Field elements are immutable values that carry their modulus; mixing
 elements of different fields is a hard error, never a coercion.  Matrices
-wrap read-only int64 arrays with entries reduced mod p, and every routine
-is canonical: Gaussian elimination picks the first nonzero pivot in column
-order, so identical inputs always produce bit-identical outputs.
+are plain int64 arrays with entries reduced mod p, and every routine is
+canonical: one forward elimination loop picks the first nonzero pivot in
+column order, so identical inputs always produce bit-identical outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,10 +82,6 @@ class PrimeField:
     @property
     def one(self) -> "FieldElement":
         return FieldElement(1, self)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        for v in range(self.p):
-            yield FieldElement(v, self)
 
     def __repr__(self):
         return f"F_{self.p}"
@@ -181,63 +176,6 @@ class FieldElement:
         return f"{self.value} (mod {self.field.p})"
 
 
-def _as_int(v) -> int:
-    return v.value if isinstance(v, FieldElement) else int(v)
-
-
-@dataclass(frozen=True, eq=False)
-class Matrix:
-    """A dense matrix over a prime field; entries live in a read-only array."""
-
-    field: PrimeField
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.data, dtype=np.int64) % self.field.p
-        if arr.ndim != 2:
-            raise ValueError(f"matrix data must be 2-dimensional, got shape {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @classmethod
-    def from_rows(cls, field: PrimeField, rows: Iterable[Iterable]) -> "Matrix":
-        raw = [[_as_int(v) for v in row] for row in rows]
-        if raw and any(len(r) != len(raw[0]) for r in raw):
-            raise ValueError("rows have unequal lengths")
-        arr = np.array(raw, dtype=np.int64) if raw else np.zeros((0, 0), dtype=np.int64)
-        return cls(field, arr)
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "Matrix":
-        return cls(field, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def zeros(cls, field: PrimeField, rows: int, cols: int) -> "Matrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return FieldElement(int(self.data[i, j]), self.field)
-
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i].copy()
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.field == other.field and np.array_equal(self.data, other.data)
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols} over {self.field})"
-
-
 # ---------------------------------------------------------------------------
 # Array-level elimination.  All functions take entries already reduced mod p
 # (int64) and never mutate their arguments.  With p < 2^31 every intermediate
@@ -277,29 +215,16 @@ def _forward_echelon(a: np.ndarray, p: int):
 def rref_array(a: np.ndarray, p: int):
     """Reduced row echelon form mod p with first-nonzero pivoting.
 
-    Returns (canonical matrix, pivot column tuple).
+    Forward elimination, then back-substitution clears the entries above
+    each pivot.  Returns (canonical matrix, pivot column tuple).
     """
-    m = np.array(a, dtype=np.int64) % p
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r] = m[r] * inv % p
-        sel = np.nonzero(m[:, c])[0]
-        sel = sel[sel != r]
-        if sel.size:
-            m[sel] = (m[sel] - np.outer(m[sel, c], m[r])) % p
-        pivots.append(c)
-        r += 1
+    m, pivots = _forward_echelon(a, p)
+    for r, c in enumerate(pivots):
+        # row r is zero left of c, so earlier pivot columns stay unit vectors
+        col = m[:r, c]
+        if col.any():
+            m[:r, c:] -= np.outer(col, m[r, c:])
+            m[:r, c:] %= p
     return m, tuple(pivots)
 
 
@@ -373,29 +298,3 @@ def matvec_array(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     acc = (a.astype(object) % p) @ v.astype(object) % p
     return np.array([int(x) for x in acc], dtype=np.int64)
 
-
-# Matrix-level wrappers -----------------------------------------------------
-
-def mat_rank(m: Matrix) -> int:
-    return rank_array(m.data, m.field.p)
-
-
-def mat_rref(m: Matrix):
-    r, pivots = rref_array(m.data, m.field.p)
-    return Matrix(m.field, r), pivots
-
-
-def mat_kernel(m: Matrix) -> list[np.ndarray]:
-    """Canonical nullspace basis; each vector satisfies M v = 0 exactly."""
-    return kernel_array(m.data, m.field.p)
-
-
-def mat_solve(m: Matrix, b: Sequence) -> np.ndarray:
-    """Solve M x = b; raises NoSolutionError when b is not reachable."""
-    rhs = np.array([_as_int(v) for v in b], dtype=np.int64)
-    return solve_array(m.data, rhs, m.field.p)
-
-
-def mat_mul_vec(m: Matrix, v: Sequence) -> np.ndarray:
-    vec = np.array([_as_int(x) for x in v], dtype=np.int64)
-    return matvec_array(m.data, vec, m.field.p)

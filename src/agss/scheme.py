@@ -46,7 +46,6 @@ from .curves import (
 )
 from .field import (
     FieldElement,
-    Matrix,
     NoSolutionError,
     in_row_space,
     kernel_array,
@@ -126,7 +125,8 @@ class SchemeInstance:
     ``gen_matrix`` is the (m - g + 1) x (n + 1) evaluation matrix with
     column j holding the basis values at point j (the secret position is
     column 0); ``omega_matrix`` rows form the canonical nullspace basis,
-    i.e. a basis of the share code.
+    i.e. a basis of the share code.  Both are read-only int64 arrays with
+    entries reduced mod p.
     """
 
     curve: Curve
@@ -135,8 +135,8 @@ class SchemeInstance:
     players: tuple[Point, ...]
     m: int
     basis: MonomialBasis
-    gen_matrix: Matrix
-    omega_matrix: Matrix
+    gen_matrix: np.ndarray
+    omega_matrix: np.ndarray
 
     @property
     def field(self):
@@ -152,20 +152,20 @@ class SchemeInstance:
 
     @property
     def dim_code(self) -> int:
-        return self.gen_matrix.rows
+        return self.gen_matrix.shape[0]
 
     @property
     def dim_share_code(self) -> int:
-        return self.omega_matrix.rows
+        return self.omega_matrix.shape[0]
 
     @cached_property
     def player_rows(self) -> np.ndarray:
         """Row i = basis values at player i (shape n x dim_code)."""
-        return np.ascontiguousarray(self.gen_matrix.data[:, 1:].T)
+        return np.ascontiguousarray(self.gen_matrix[:, 1:].T)
 
     @cached_property
     def p0_row(self) -> np.ndarray:
-        return self.gen_matrix.data[:, 0].copy()
+        return self.gen_matrix[:, 0].copy()
 
     @cached_property
     def _clx_data(self):
@@ -194,8 +194,8 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
 
     basis = rr_basis(curve, m)
     p = curve.field.p
-    cols = [[fe.value for fe in eval_basis(curve, basis, pt)] for pt in pts]
-    gen = np.array(cols, dtype=np.int64).T  # rows = basis functions, cols = points
+    cols = [eval_basis(curve, basis, pt) for pt in pts]
+    gen = np.array(cols, dtype=np.int64).T.copy()  # rows = basis functions, cols = points
 
     if rank_array(gen, p) != len(basis):
         raise RuntimeError("evaluation matrix lost rank; invalid configuration")
@@ -205,7 +205,9 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
     if not any(int(row[0]) for row in omega_rows):
         raise SecretPositionDegenerateError("every share-code word vanishes at position 0")
 
-    field = curve.field
+    omega = np.array(omega_rows, dtype=np.int64)
+    gen.flags.writeable = False
+    omega.flags.writeable = False
     return SchemeInstance(
         curve=curve,
         q_point=INFINITY,
@@ -213,8 +215,8 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
         players=players,
         m=m,
         basis=basis,
-        gen_matrix=Matrix(field, gen),
-        omega_matrix=Matrix(field, np.array(omega_rows, dtype=np.int64)),
+        gen_matrix=gen,
+        omega_matrix=omega,
     )
 
 
@@ -228,7 +230,7 @@ def share(scheme: SchemeInstance, secret, seed: int) -> ShareVector:
     """
     p = scheme.field.p
     s_val = secret.value if isinstance(secret, FieldElement) else int(secret) % p
-    w = scheme.omega_matrix.data
+    w = scheme.omega_matrix
     pivot = next(i for i in range(w.shape[0]) if int(w[i, 0]))
     inv = pow(int(w[pivot, 0]), -1, p)
     base = w[pivot] * inv % p  # codeword with 1 at position 0
@@ -293,17 +295,24 @@ def _kernel_qualified(scheme: SchemeInstance, a_idx) -> bool:
     return not in_row_space(rows, scheme.p0_row, scheme.field.p)
 
 
-def _dual_qualified(scheme: SchemeInstance, a_idx) -> bool:
-    # qualified iff the share-code constraint W v = 0 admits v with v_0 = 1
-    # and support inside {0} union S, solved on the S-columns of W
-    w = scheme.omega_matrix.data
+def _dual_system(scheme: SchemeInstance, a_idx):
+    """The S-column system W_S y = -W_0 and the code coordinates of S.
+
+    The share-code constraint W v = 0 admits v with v_0 = 1 and support
+    inside {0} union S exactly when this system is solvable.
+    """
+    w = scheme.omega_matrix
     mask = np.ones(scheme.n + 1, dtype=bool)
     mask[0] = False
     if len(a_idx):
         mask[np.asarray(a_idx) + 1] = False
     s_cols = np.nonzero(mask)[0]
-    rhs = (-w[:, 0]) % scheme.field.p
-    return solvable_array(w[:, s_cols], rhs, scheme.field.p)
+    return w[:, s_cols], (-w[:, 0]) % scheme.field.p, s_cols
+
+
+def _dual_qualified(scheme: SchemeInstance, a_idx) -> bool:
+    w_s, rhs, _ = _dual_system(scheme, a_idx)
+    return solvable_array(w_s, rhs, scheme.field.p)
 
 
 def _clx_qualified(scheme: SchemeInstance, a_idx) -> bool:
@@ -339,13 +348,11 @@ def _decide(scheme: SchemeInstance, a_idx, oracle: str) -> bool:
 
 def is_qualified_kernel(scheme: SchemeInstance, subset: Sequence[int]) -> QualifiedVerdict:
     """Function-space oracle; returns a witness function when qualified."""
-    s_idx = _check_subset(scheme, subset)
-    a_idx = _complement(scheme, s_idx)
-    p = scheme.field.p
-    rows = scheme.player_rows[a_idx]
-    if in_row_space(rows, scheme.p0_row, p):
+    a_idx = _complement(scheme, _check_subset(scheme, subset))
+    if not _kernel_qualified(scheme, a_idx):
         return QualifiedVerdict(False)
-    for vec in kernel_array(rows, p):
+    p = scheme.field.p
+    for vec in kernel_array(scheme.player_rows[a_idx], p):
         if int((scheme.p0_row * vec % p).sum() % p):
             return QualifiedVerdict(True, vec)
     raise RuntimeError("rank test and kernel search disagree")  # unreachable
@@ -353,21 +360,16 @@ def is_qualified_kernel(scheme: SchemeInstance, subset: Sequence[int]) -> Qualif
 
 def is_qualified_dual(scheme: SchemeInstance, subset: Sequence[int]) -> QualifiedVerdict:
     """Code-coordinate oracle; decides on the share-code basis columns."""
-    s_idx = _check_subset(scheme, subset)
-    a_idx = _complement(scheme, s_idx)
-    p = scheme.field.p
-    w = scheme.omega_matrix.data
-    s_cols = np.array([0] + [i + 1 for i in s_idx], dtype=np.int64)
-    rhs = (-w[:, 0]) % p
-    try:
-        y = solve_array(w[:, s_cols[1:]], rhs, p)
-    except NoSolutionError:
+    a_idx = _complement(scheme, _check_subset(scheme, subset))
+    if not _dual_qualified(scheme, a_idx):
         return QualifiedVerdict(False)
+    p = scheme.field.p
+    w_s, rhs, s_cols = _dual_system(scheme, a_idx)
     codeword = np.zeros(scheme.n + 1, dtype=np.int64)
     codeword[0] = 1
-    codeword[s_cols[1:]] = y
+    codeword[s_cols] = solve_array(w_s, rhs, p)
     # lift the evaluation-code word back to a function for the witness
-    witness = solve_array(scheme.gen_matrix.data.T, codeword, p)
+    witness = solve_array(scheme.gen_matrix.T, codeword, p)
     return QualifiedVerdict(True, witness)
 
 
@@ -381,16 +383,13 @@ def is_qualified_clx(scheme: SchemeInstance, subset: Sequence[int]) -> Qualified
 def privacy_check(scheme: SchemeInstance, subset: Sequence[int]) -> PrivacyVerdict:
     """Whether the subset's share coordinates pin down the secret coordinate.
 
-    Rank test on the share-code basis: the position-0 functional must lie in
-    the span of the subset's coordinate functionals.
+    On the share-code basis, the position-0 column must lie in the span of
+    the subset's columns; that is the dual oracle's solvability test.
     """
-    s_idx = _check_subset(scheme, subset)
-    p = scheme.field.p
-    w = scheme.omega_matrix.data
-    s_cols = [i + 1 for i in s_idx]
-    r_s = rank_array(w[:, s_cols], p) if s_cols else 0
-    r_full = rank_array(w[:, [0] + s_cols], p)
-    return PrivacyVerdict.DETERMINES_SECRET if r_s == r_full else PrivacyVerdict.ZERO_INFORMATION
+    a_idx = _complement(scheme, _check_subset(scheme, subset))
+    if _dual_qualified(scheme, a_idx):
+        return PrivacyVerdict.DETERMINES_SECRET
+    return PrivacyVerdict.ZERO_INFORMATION
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,7 @@ def test_criterion_2_roundtrip_and_privacy(f13_scheme, tiny_scheme):
     # tiny scheme: exhaustive codeword enumeration
     tiny = tiny_scheme
     p = tiny.field.p
-    w = tiny.omega_matrix.data
+    w = tiny.omega_matrix
     k = w.shape[0]
     code_size = p**k
     unqualified = next(

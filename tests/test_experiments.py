@@ -201,6 +201,12 @@ def test_find_curves_deterministic():
     assert find_elliptic_curve(101) == e
 
 
+def test_find_curves_reject_a_composite_field_size():
+    for find in (find_elliptic_curve, find_hyperelliptic_curve):
+        with pytest.raises(ValueError, match="100 is not prime"):
+            find(100)
+
+
 def test_standard_scheme_layout():
     curve = elliptic_curve(13, 1, 1)
     sch = standard_scheme(curve, 0.5)

@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agss.field import (
     DivisionByZeroError,
     FieldMismatchError,
-    Matrix,
     NoSolutionError,
     PrimeField,
     in_row_space,
     is_prime,
     kernel_array,
-    mat_kernel,
-    mat_mul_vec,
-    mat_rank,
-    mat_solve,
+    matvec_array,
     rank_array,
     rref_array,
     solve_array,
@@ -81,15 +77,18 @@ def test_field_ops_match_integer_arithmetic(a, b):
 
 
 def test_kernel_examples():
-    ident = Matrix.identity(F5, 3)
-    assert mat_kernel(ident) == []
+    ident = np.eye(3, dtype=np.int64)
+    assert kernel_array(ident, 5) == []
+    full = np.array([[1, 2], [3, 4]])
+    assert rank_array(full, 5) == 2
+    assert kernel_array(full, 5) == []
 
-    zero = Matrix.zeros(F5, 2, 3)
-    basis = mat_kernel(zero)
+    zero = np.zeros((2, 3), dtype=np.int64)
+    basis = kernel_array(zero, 5)
     assert len(basis) == 3
 
-    m = Matrix.from_rows(F5, [[1, 2], [2, 4]])
-    basis = mat_kernel(m)
+    m = np.array([[1, 2], [2, 4]])
+    basis = kernel_array(m, 5)
     assert len(basis) == 1
     # exhaustive oracle over all 25 vectors of F_5^2
     expected = [
@@ -103,17 +102,17 @@ def test_kernel_examples():
 
 
 def test_solve_examples():
-    ident = Matrix.identity(F5, 2)
-    assert list(mat_solve(ident, [3, 4])) == [3, 4]
+    ident = np.eye(2, dtype=np.int64)
+    assert list(solve_array(ident, [3, 4], 5)) == [3, 4]
 
-    inconsistent = Matrix.from_rows(F5, [[1, 1], [1, 1]])
+    inconsistent = np.array([[1, 1], [1, 1]])
     with pytest.raises(NoSolutionError):
-        mat_solve(inconsistent, [0, 1])
+        solve_array(inconsistent, [0, 1], 5)
 
-    m = Matrix.from_rows(F5, [[1, 1], [0, 1]])
-    x = mat_solve(m, [0, 1])
+    m = np.array([[1, 1], [0, 1]])
+    x = solve_array(m, [0, 1], 5)
     assert list(x) == [4, 1]
-    assert list(mat_mul_vec(m, x)) == [0, 1]
+    assert list(matvec_array(m, x, 5)) == [0, 1]
 
 
 def _random_matrix(rng, p, rows, cols):
@@ -169,9 +168,43 @@ def test_rref_is_canonical_and_deterministic():
         assert not col.any()
 
 
-def test_matrix_entries_are_read_only():
-    m = Matrix.from_rows(F5, [[1, 2], [3, 4]])
-    with pytest.raises(ValueError):
-        m.data[0, 0] = 3
-    assert m.entry(1, 0).value == 3
-    assert mat_rank(m) == 2
+@st.composite
+def small_matrices(draw):
+    """(p, a) with a at most 8 x 8 over F_p; half are built with low rank."""
+    p = draw(st.sampled_from([5, 13, 101]))
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+
+    def entries(r, c):
+        flat = draw(st.lists(st.integers(0, p - 1), min_size=r * c, max_size=r * c))
+        return np.array(flat, dtype=np.int64).reshape(r, c)
+
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols)))
+        return p, entries(rows, k) @ entries(k, cols) % p
+    return p, entries(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_matrices())
+def test_rref_properties_pin_the_canonical_form(pa):
+    p, a = pa
+    before = a.copy()
+    r, pivots = rref_array(a, p)
+    assert np.array_equal(a, before)  # the input is not mutated
+    assert r.shape == a.shape and r.dtype == np.int64
+    assert ((0 <= r) & (r < p)).all()
+    assert list(pivots) == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        # leading entry of row i is a 1 in column c
+        assert not r[i, :c].any() and r[i, c] == 1
+        # pivot columns are unit vectors
+        col = r[:, c].copy()
+        col[i] = 0
+        assert not col.any()
+    # zero rows come last
+    assert not r[len(pivots):].any()
+    assert len(pivots) == rank_array(a, p)
+    # the row space is unchanged
+    assert all(in_row_space(r, row, p) for row in a)
+    assert all(in_row_space(a, row, p) for row in r)
+

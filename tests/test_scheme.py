@@ -4,9 +4,17 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from agss.curves import INFINITY, affine_points, elliptic_curve, hyperelliptic_curve
-from agss.field import matvec_array
+from agss.curves import (
+    INFINITY,
+    SingularCurveError,
+    affine_points,
+    elliptic_curve,
+    hyperelliptic_curve,
+)
+from agss.field import matvec_array, rank_array
 from agss.groups import InstanceTooLargeError, subset_sum_count, AbelianGroup
 from agss.curves import group_structure
 from agss.scheme import (
@@ -52,8 +60,20 @@ def test_build_dimensions():
     assert sch.dim_share_code == sch.n - sch.m + 1
     # every share-code basis row is orthogonal to the generator rows
     p = sch.field.p
-    for i in range(sch.omega_matrix.rows):
-        assert not matvec_array(sch.gen_matrix.data, sch.omega_matrix.data[i], p).any()
+    for i in range(sch.omega_matrix.shape[0]):
+        assert not matvec_array(sch.gen_matrix, sch.omega_matrix[i], p).any()
+
+
+def test_code_matrices_are_read_only():
+    sch = build_f13_scheme()
+    p = sch.field.p
+    for mat in (sch.gen_matrix, sch.omega_matrix):
+        assert mat.dtype == np.int64
+        assert ((0 <= mat) & (mat < p)).all()
+        with pytest.raises(ValueError):
+            mat[0, 0] = 3
+    assert (sch.gen_matrix[0] == 1).all()  # the constant function
+    assert rank_array(sch.gen_matrix, p) == sch.dim_code
 
 
 def test_build_validation():
@@ -75,7 +95,7 @@ def test_share_is_a_codeword_and_deterministic():
     assert vec.secret.value == 7
     p = sch.field.p
     word = np.array([vec.secret.value] + [s.value for s in vec.shares])
-    assert not matvec_array(sch.gen_matrix.data, word, p).any()
+    assert not matvec_array(sch.gen_matrix, word, p).any()
     again = share(sch, 7, seed=123)
     assert vec == again
     other = share(sch, 7, seed=124)
@@ -118,7 +138,7 @@ def test_reconstruct_unqualified_raises():
 def test_share_labels_every_secret_equally_on_tiny_scheme():
     sch = build_tiny_scheme()
     p = sch.field.p
-    w = sch.omega_matrix.data
+    w = sch.omega_matrix
     k = w.shape[0]
     counts = {s: 0 for s in range(p)}
     for coeffs in itertools.product(range(p), repeat=k):
@@ -238,7 +258,7 @@ def test_privacy_matches_qualification_exhaustively():
 def test_unqualified_shares_carry_zero_information():
     sch = build_tiny_scheme()
     p = sch.field.p
-    w = sch.omega_matrix.data
+    w = sch.omega_matrix
     k = w.shape[0]
     # pick an unqualified subset and a concrete sharing
     subset = next(
@@ -299,3 +319,40 @@ def test_scheme_pickles():
     clone = pickle.loads(pickle.dumps(sch))
     assert clone.n == sch.n
     assert is_qualified_kernel(clone, list(range(sch.n))).qualified
+
+
+@st.composite
+def small_schemes(draw):
+    """A scheme on a random curve over F_q, q <= 13: elliptic or genus 2."""
+    q = draw(st.sampled_from([5, 7, 11, 13]))
+    genus = draw(st.sampled_from([1, 2]))
+    try:
+        if genus == 1:
+            curve = elliptic_curve(q, draw(st.integers(0, q - 1)), draw(st.integers(0, q - 1)))
+        else:
+            low = draw(st.lists(st.integers(0, q - 1), min_size=5, max_size=5))
+            curve = hyperelliptic_curve(q, low + [1])
+    except SingularCurveError:
+        assume(False)
+    pts = affine_points(curve)
+    n = len(pts) - 1
+    assume(n - 1 > 2 * genus - 2)
+    m = draw(st.integers(2 * genus - 1, n - 1))
+    return scheme_build(curve, pts[0], pts[1:], m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_schemes(), st.data())
+def test_oracles_agree_on_random_small_curves(sch, data):
+    mask = st.lists(st.booleans(), min_size=sch.n, max_size=sch.n)
+    for _ in range(5):
+        s = [i for i, keep in enumerate(data.draw(mask)) if keep]
+        verdict = is_qualified_kernel(sch, s).qualified
+        assert is_qualified_dual(sch, s).qualified == verdict
+        if sch.genus == 1:
+            assert is_qualified_clx(sch, s).qualified == verdict
+        assert (privacy_check(sch, s) is PrivacyVerdict.DETERMINES_SECRET) == verdict
+        if verdict:
+            # monotone: adding any player keeps the set qualified
+            for extra in set(range(sch.n)) - set(s):
+                assert is_qualified_kernel(sch, s + [extra]).qualified
