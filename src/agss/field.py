@@ -219,13 +219,18 @@ def rref_array(a: np.ndarray, p: int):
     each pivot.  Returns (canonical matrix, pivot column tuple).
     """
     m, pivots = _forward_echelon(a, p)
+    return _back_substitute(m, pivots, p), tuple(pivots)
+
+
+def _back_substitute(m: np.ndarray, pivots, p: int) -> np.ndarray:
+    """Clear the entries above each pivot of a forward echelon form, in place."""
     for r, c in enumerate(pivots):
         # row r is zero left of c, so earlier pivot columns stay unit vectors
         col = m[:r, c]
         if col.any():
             m[:r, c:] -= np.outer(col, m[r, c:])
             m[:r, c:] %= p
-    return m, tuple(pivots)
+    return m
 
 
 def rank_array(a: np.ndarray, p: int) -> int:
@@ -249,30 +254,43 @@ def kernel_array(a: np.ndarray, p: int) -> list[np.ndarray]:
     return basis
 
 
-def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """One solution of a x = b (free variables set to 0), or NoSolutionError."""
+def _augmented_echelon(a: np.ndarray, b: np.ndarray, p: int):
+    """Forward elimination of [a | b]; returns (m, pivots, solvable)."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64).reshape(-1)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} != row count {a.shape[0]}")
-    aug = np.hstack([a, b[:, None]]) % p
-    r, pivots = rref_array(aug, p)
-    cols = a.shape[1]
-    if cols in pivots:
-        raise NoSolutionError("right-hand side is not in the column space")
-    x = np.zeros(cols, dtype=np.int64)
+    m, pivots = _forward_echelon(np.hstack([a, b[:, None]]), p)
+    return m, pivots, a.shape[1] not in pivots
+
+
+def _solve(a: np.ndarray, b: np.ndarray, p: int):
+    """One solution of a x = b (free variables set to 0), or None.
+
+    One forward elimination decides solvability; back-substitution runs
+    only when a solution exists.
+    """
+    m, pivots, solvable = _augmented_echelon(a, b, p)
+    if not solvable:
+        return None
+    r = _back_substitute(m, pivots, p)
+    x = np.zeros(m.shape[1] - 1, dtype=np.int64)
     for i, c in enumerate(pivots):
         x[c] = r[i, -1]
     return x
 
 
+def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """One solution of a x = b (free variables set to 0), or NoSolutionError."""
+    x = _solve(a, b, p)
+    if x is None:
+        raise NoSolutionError("right-hand side is not in the column space")
+    return x
+
+
 def solvable_array(a: np.ndarray, b: np.ndarray, p: int) -> bool:
     """Whether a x = b has a solution (forward elimination only)."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64).reshape(-1)
-    aug = np.hstack([a, b[:, None]]) % p
-    _, pivots = _forward_echelon(aug, p)
-    return a.shape[1] not in pivots
+    return _augmented_echelon(a, b, p)[2]
 
 
 def in_row_space(a: np.ndarray, vec: np.ndarray, p: int) -> bool:

@@ -9,20 +9,27 @@ and the resulting deviation bound
     |N(t, B, P) - C(n, t) / N|  <=  C(M, t)
 
 with M = max{Phi + t - 1, (n + Phi)/2, (n - Phi)/3 + Phi + t - 1}, where
-Phi is the amplitude of P.  Counts use exact big integers throughout; only
-character sums live in floating point.
+Phi is the amplitude of P.  Counts are exact: the DP runs in numpy on uint64
+residues modulo 2^64 and a few primes just below 2^62, enough that their
+product exceeds C(n, t), and a row of Python ints is rebuilt by the Chinese
+remainder theorem only when it is read.  Memory is one (t+1) x N word table
+per modulus, not a table of big integers.  Only character sums live in
+floating point.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
 
 import numpy as np
+
+from .field import is_prime
 
 DP_BUDGET = 2**31
 SIEVE_MAX_T = 10
@@ -196,11 +203,69 @@ def amplitude(group: AbelianGroup, points: Sequence[GroupElement]) -> float:
 
 # --- exact subset-sum counting ------------------------------------------------
 
-def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int) -> list[list[int]]:
+_WORD_MODULUS = 2**64
+_PRIME_CEILING = 2**62
+
+
+def _moduli(bound: int) -> tuple[int, ...]:
+    """2^64, then the primes just below 2^62, until the product exceeds bound."""
+    moduli = [_WORD_MODULUS]
+    product = _WORD_MODULUS
+    candidate = _PRIME_CEILING - 1
+    while product <= bound:
+        if is_prime(candidate):
+            moduli.append(candidate)
+            product *= candidate
+        candidate -= 2
+    return tuple(moduli)
+
+
+class SubsetSumRows(Sequence):
+    """Read-only rows[s][i] of exact subset-sum counts, held as residues.
+
+    One (t+1) x N uint64 table per entry of ``moduli``; row s is rebuilt as
+    a tuple of Python ints by the Chinese remainder theorem the first time
+    it is read, and kept.  ``cell(s, i)`` rebuilds one count without the row.
+    """
+
+    def __init__(self, moduli: tuple[int, ...], tables: list[np.ndarray]):
+        self.moduli = moduli
+        self._tables = tables
+        self._total = math.prod(moduli)
+        # x = sum_j r_j * c_j mod M with c_j = 1 mod m_j and 0 mod the others
+        self._coeffs = tuple((self._total // m) * pow(self._total // m, -1, m) for m in moduli)
+        self._rows: list[tuple[int, ...] | None] = [None] * tables[0].shape[0]
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def _crt(self, s: int, cols) -> tuple[int, ...]:
+        residues = zip(*(tab[s, cols].tolist() for tab in self._tables))
+        return tuple(sum(map(operator.mul, r, self._coeffs)) % self._total for r in residues)
+
+    def __getitem__(self, s: int) -> tuple[int, ...]:
+        s = operator.index(s)
+        row = self._rows[s]
+        if row is None:
+            row = self._rows[s] = self._crt(s, slice(None))
+        return row
+
+    def cell(self, s: int, i: int) -> int:
+        return self._crt(operator.index(s), [operator.index(i)])[0]
+
+
+def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int) -> SubsetSumRows:
     """DP table of subset-sum counts.
 
     Returns rows[s][i] = number of s-subsets of P whose group sum is the
-    element with index i, for every 0 <= s <= t.  Exact big integers.
+    element with index i, for every 0 <= s <= t, as exact Python ints.
+    The DP runs in numpy once per modulus: 2^64 (uint64 wrap-around) and
+    enough primes just below 2^62 that their product exceeds every count
+    C(n, s), s <= t.  Per point a the active rows take one gather and one
+    add, rows[1:k+1] += rows[:k][:, index(i - a)], and for a prime p a
+    conditional subtract min(x, x - p), which wraps when x < p.  Memory is
+    the residue tables, (t+1) * N words per modulus, plus one gather
+    buffer; rows are rebuilt by CRT only when read.
     """
     pts = _check_point_set(group, points)
     n = len(pts)
@@ -210,30 +275,38 @@ def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int
     if n * t * size > DP_BUDGET:
         raise BudgetExceededError(f"n*t*N = {n * t * size} exceeds the 2^31 budget")
 
+    bound = math.comb(n, min(t, n // 2))  # the largest count in rows 0..t
+    moduli = _moduli(bound)
+    assert math.prod(moduli) > bound
+
     idx = np.arange(size, dtype=np.int64)
     strides = np.array(group._strides, dtype=np.int64)
     factors = np.array(group.factors, dtype=np.int64)
     digits = (idx[:, None] // strides[None, :]) % factors[None, :]
 
-    rows: list[list[int]] = [[0] * size for _ in range(t + 1)]
-    rows[0][0] = 1  # empty subset sums to the identity (index 0)
+    tables = [np.zeros((t + 1, size), dtype=np.uint64) for _ in moduli]
+    for tab in tables:
+        tab[0, 0] = 1  # the empty subset sums to the identity (index 0)
+    gathered = np.empty((t, size), dtype=np.uint64)
     for count, a in enumerate(pts, start=1):
-        shifted = ((digits + np.array(a, dtype=np.int64)) % factors) @ strides
-        perm = shifted.tolist()
-        for s in range(min(count, t), 0, -1):
-            prev = rows[s - 1]
-            cur = rows[s]
-            for j, pj in enumerate(perm):
-                v = prev[j]
-                if v:
-                    cur[pj] += v
-    return rows
+        k = min(count, t)
+        src = ((digits - np.array(a, dtype=np.int64)) % factors) @ strides
+        buf = gathered[:k]
+        for modulus, tab in zip(moduli, tables):
+            cur = tab[1:k + 1]
+            # indices are in range; mode="clip" keeps take from buffering out
+            np.take(tab[:k], src, axis=1, out=buf, mode="clip")
+            cur += buf
+            if modulus != _WORD_MODULUS:
+                np.subtract(cur, np.uint64(modulus), out=buf)
+                np.minimum(cur, buf, out=cur)
+    return SubsetSumRows(moduli, tables)
 
 
 def subset_sum_count(group: AbelianGroup, points: Sequence[GroupElement], t: int, target: GroupElement) -> int:
     """Exact count of t-subsets of P whose group sum equals target."""
     rows = subset_sum_table(group, points, t)
-    return rows[t][group.index(group.check(target))]
+    return rows.cell(t, group.index(group.check(target)))
 
 
 # --- cycle-type combinatorics ---------------------------------------------

@@ -47,6 +47,7 @@ from .curves import (
 from .field import (
     FieldElement,
     NoSolutionError,
+    _solve,
     in_row_space,
     kernel_array,
     matvec_array,
@@ -137,6 +138,12 @@ class SchemeInstance:
     basis: MonomialBasis
     gen_matrix: np.ndarray
     omega_matrix: np.ndarray
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writeable; keep the code matrices read-only
+        self.__dict__.update(state)
+        self.gen_matrix.flags.writeable = False
+        self.omega_matrix.flags.writeable = False
 
     @property
     def field(self):
@@ -361,13 +368,14 @@ def is_qualified_kernel(scheme: SchemeInstance, subset: Sequence[int]) -> Qualif
 def is_qualified_dual(scheme: SchemeInstance, subset: Sequence[int]) -> QualifiedVerdict:
     """Code-coordinate oracle; decides on the share-code basis columns."""
     a_idx = _complement(scheme, _check_subset(scheme, subset))
-    if not _dual_qualified(scheme, a_idx):
-        return QualifiedVerdict(False)
     p = scheme.field.p
     w_s, rhs, s_cols = _dual_system(scheme, a_idx)
+    y = _solve(w_s, rhs, p)  # one elimination gives the verdict and the word
+    if y is None:
+        return QualifiedVerdict(False)
     codeword = np.zeros(scheme.n + 1, dtype=np.int64)
     codeword[0] = 1
-    codeword[s_cols] = solve_array(w_s, rhs, p)
+    codeword[s_cols] = y
     # lift the evaluation-code word back to a function for the witness
     witness = solve_array(scheme.gen_matrix.T, codeword, p)
     return QualifiedVerdict(True, witness)

@@ -327,6 +327,42 @@ def test_criterion_5_exact_elliptic_proportions(sweep3_rows):
     assert elapsed < 600
 
 
+# (samples, qualified) per (q, offset) of the theorem-3 sweep, as recorded
+# in bench/reference/theorem3.csv
+EXACT_ELLIPTIC_COUNTS = {
+    (101, 0): (
+        791532924062974587678774064068,
+        7538408800599757977937539618,
+    ),
+    (101, 1): (
+        761663757117201961728631646556,
+        754409816573228609712168498510,
+    ),
+    (211, 0): (
+        180261735208411902966227791950002159257998922809712692208984925920,
+        808348588378528712853039425784763045999995169550281130981995184,
+    ),
+    (211, 1): (
+        177042775651118833270402295665180692128391799188110679848110195100,
+        176248861858961349713135917657713514136784661075159510880181449830,
+    ),
+    (401, 0): (
+        106623141105459497760739054060074989604698172101219706799327515153078685314524263969867971856809079576676392636755065292452020800,
+        246812826633008096668377439953877290751616139123193765739184062854348808598435796226546231150021017538602760733229317806794501,
+    ),
+    (401, 1): (
+        106129515452193481567402299180167235023194939822973319267849147027369987697327392377414879394509037541599187115288606656838817000,
+        105883845277535626285996275339472403460641247832642362510284681409244466078490291156319298227231646916362577403360674380919714041,
+    ),
+}
+
+
+def test_exact_elliptic_counts_are_pinned(sweep3_rows):
+    rows, _ = sweep3_rows
+    got = {(row["q"], row["offset"]): (row["samples"], row["qualified"]) for row in rows}
+    assert got == EXACT_ELLIPTIC_COUNTS
+
+
 def test_criterion_6_genus2_monte_carlo(sweep4_rows, sweep3_rows):
     rows4, fixture_elapsed = sweep4_rows
     start = time.monotonic() - fixture_elapsed

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agss.experiments import _player_images, find_elliptic_curve, standard_scheme
 from agss.groups import (
     AbelianGroup,
     BudgetExceededError,
@@ -145,6 +146,90 @@ def test_subset_sum_against_brute_force():
             for b in els:
                 assert rows[t][g.index(b)] == brute[b]
             assert sum(rows[t]) == math.comb(n, t)
+
+
+def reference_subset_sum_table(group, points, t):
+    """The pure-Python big-integer DP: the reference for subset_sum_table."""
+    size = group.order
+    rows = [[0] * size for _ in range(t + 1)]
+    rows[0][0] = 1  # the empty subset sums to the identity (index 0)
+    for count, a in enumerate(points, start=1):
+        perm = [group.index(group.add(group.element_at(j), a)) for j in range(size)]
+        for s in range(min(count, t), 0, -1):
+            prev = rows[s - 1]
+            cur = rows[s]
+            for j, pj in enumerate(perm):
+                v = prev[j]
+                if v:
+                    cur[pj] += v
+    return rows
+
+
+def assert_table_matches_reference(group, points, t):
+    rows = subset_sum_table(group, points, t)
+    ref = reference_subset_sum_table(group, points, t)
+    assert len(rows) == t + 1
+    assert [list(r) for r in rows] == ref
+    assert all(type(v) is int for r in rows for v in r)
+    assert sum(rows[t]) == math.comb(len(points), t)
+    assert rows[-1] == rows[t]
+    last = max(range(group.order), key=lambda i: ref[t][i])
+    assert rows.cell(t, last) == ref[t][last]
+    return rows
+
+
+@pytest.mark.parametrize("factors", [(7,), (2, 6), (3, 6), (4, 8), (60,)])
+def test_subset_sum_table_matches_reference_dp(factors):
+    g = AbelianGroup(factors)
+    els = list(g.elements())
+    removed = set(np.random.default_rng(sum(factors)).choice(g.order, size=2, replace=False).tolist())
+    pts = [els[i] for i in range(g.order) if i not in removed]
+    n = len(pts)
+    for t in sorted({0, 1, n // 2, n}):
+        rows = assert_table_matches_reference(g, pts, t)
+    with pytest.raises(IndexError):
+        rows[n + 1]
+    with pytest.raises(TypeError):
+        rows[0] = rows[1]  # read-only
+
+
+@pytest.mark.parametrize("q, moduli", [(101, 2), (211, 4)])
+def test_subset_sum_table_matches_reference_on_sweep_points(q, moduli):
+    scheme = standard_scheme(find_elliptic_curve(q), 0.5)
+    _, group, images = _player_images(scheme)
+    rows = assert_table_matches_reference(group, images, scheme.m)
+    assert len(rows.moduli) == moduli
+
+
+def test_subset_sum_table_across_the_word_boundary():
+    # rows 0..t need a second modulus exactly when C(n, s) first reaches 2^64
+    g = AbelianGroup((68,))
+    pts = list(g.elements())
+    t0 = next(t for t in range(len(pts) + 1) if math.comb(len(pts), t) >= 2**64)
+    assert len(assert_table_matches_reference(g, pts, t0 - 1).moduli) == 1
+    assert len(assert_table_matches_reference(g, pts, t0).moduli) == 2
+    # counts themselves above 2^64, so the uint64 table alone wraps
+    g = AbelianGroup((76,))
+    rows = assert_table_matches_reference(g, list(g.elements()), 38)
+    assert max(rows[38]) > 2**64
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_subset_sum_table_matches_enumeration(data):
+    g = AbelianGroup(data.draw(st.sampled_from([(1,), (5,), (8,), (2, 4), (3, 3), (2, 6), (13,)])))
+    els = list(g.elements())
+    pts = data.draw(st.lists(st.sampled_from(els), unique=True, max_size=min(g.order, 10)))
+    t = data.draw(st.integers(0, len(pts)))
+    rows = subset_sum_table(g, pts, t)
+    for s in range(t + 1):
+        brute = [0] * g.order
+        for combo in itertools.combinations(pts, s):
+            total = g.identity
+            for a in combo:
+                total = g.add(total, a)
+            brute[g.index(total)] += 1
+        assert list(rows[s]) == brute
 
 
 def test_subset_sum_budget():

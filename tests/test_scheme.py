@@ -14,6 +14,7 @@ from agss.curves import (
     elliptic_curve,
     hyperelliptic_curve,
 )
+from agss import field
 from agss.field import matvec_array, rank_array
 from agss.groups import InstanceTooLargeError, subset_sum_count, AbelianGroup
 from agss.curves import group_structure
@@ -197,6 +198,27 @@ def test_oracles_agree_exhaustively_and_witnesses_check_out():
                     assert int((sch.p0_row * w % p).sum() % p) != 0
 
 
+def test_qualified_dual_eliminates_the_subset_system_once(monkeypatch):
+    sch = build_f13_scheme()
+    calls = []
+    forward = field._forward_echelon
+
+    def counting(a, p):
+        calls.append(np.shape(a))
+        return forward(a, p)
+
+    monkeypatch.setattr(field, "_forward_echelon", counting)
+    s = list(range(sch.n - sch.m + 2))
+    verdict = is_qualified_dual(sch, s)
+    assert verdict.qualified
+    # one elimination of the S-column system, one to lift the word to a function
+    assert len(calls) == 2
+    assert calls[1] == (sch.n + 1, sch.dim_code + 1)
+    calls.clear()
+    assert not is_qualified_dual(sch, []).qualified
+    assert len(calls) == 1
+
+
 def test_clx_specific_cases():
     sch = build_f13_scheme()
     curve = sch.curve
@@ -319,6 +341,10 @@ def test_scheme_pickles():
     clone = pickle.loads(pickle.dumps(sch))
     assert clone.n == sch.n
     assert is_qualified_kernel(clone, list(range(sch.n))).qualified
+    # what Monte Carlo pool workers receive keeps the code matrices read-only
+    for mat in (clone.gen_matrix, clone.omega_matrix):
+        with pytest.raises(ValueError):
+            mat[0, 0] = 3
 
 
 @st.composite
