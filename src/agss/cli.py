@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import sys
 
 from .curves import (
@@ -30,9 +29,12 @@ from .curves import (
 )
 from .experiments import (
     CSV_HEADER,
+    MODES,
+    PRNG_NAME,
     ExperimentConfig,
     RegimeMismatchError,
     UnsupportedOffsetError,
+    _round_half_down,
     bound_theorem3,
     bound_theorem4,
     hasse_checks,
@@ -46,6 +48,7 @@ from .groups import (
     parse_group_spec,
 )
 from .scheme import (
+    ORACLE_NAMES,
     DegreeOutOfRangeError,
     DuplicatePointError,
     NotQualifiedError,
@@ -91,7 +94,8 @@ def _build_scheme_from_args(args) -> "tuple":
     pts = affine_points(curve)
     if args.p0 is not None:
         x, y = (int(v) for v in args.p0.split(","))
-        p0 = AffinePoint(curve.field.element(x), curve.field.element(y))
+        p = curve.field.p
+        p0 = AffinePoint(x % p, y % p)
         players = tuple(pt for pt in pts if pt != p0)
         if len(players) == len(pts):
             raise ValueError(f"--p0 {args.p0} is not an affine point of the curve")
@@ -101,7 +105,7 @@ def _build_scheme_from_args(args) -> "tuple":
         m = int(args.m)
     else:
         delta = args.delta if args.delta is not None else 0.5
-        m = math.ceil(delta * len(players) - 0.5)
+        m = _round_half_down(delta * len(players))
     return scheme_build(curve, p0, players, m), curve
 
 
@@ -338,7 +342,7 @@ def cmd_experiment(args) -> int:
             rows = sweep_rows(config)
             payload = {
                 "seed": config.seed,
-                "prng": "pcg64",
+                "prng": PRNG_NAME,
                 "rows": [{k: row[k] for k in CSV_HEADER} for row in rows],
             }
             text = json.dumps(payload, indent=2) + "\n"
@@ -403,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", help="semicolon-separated explicit curve specs (overrides q list)")
     p.add_argument("--delta", type=float)
     p.add_argument("--t-offset", dest="t_offset", help="comma-separated m - t offsets")
-    p.add_argument("--mode", choices=["exact", "exhaustive", "montecarlo"])
-    p.add_argument("--oracle", choices=["kernel", "dual", "clx"])
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--oracle", choices=ORACLE_NAMES)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)

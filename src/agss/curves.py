@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 
 
 class SingularCurveError(Exception):
@@ -59,11 +60,13 @@ INFINITY = PointAtInfinity()
 
 @dataclass(frozen=True)
 class AffinePoint:
-    x: FieldElement
-    y: FieldElement
+    """An affine point; coordinates are canonical residues in [0, p)."""
+
+    x: int
+    y: int
 
     def __repr__(self):
-        return f"({self.x.value}, {self.y.value})"
+        return f"({self.x}, {self.y})"
 
 
 Point = Union[AffinePoint, PointAtInfinity]
@@ -150,21 +153,34 @@ def _poly_gcd(f, g, p):
 
 
 # --- curve models ------------------------------------------------------------
+#
+# Coefficients and coordinates are plain ints reduced into [0, p); the curve's
+# ``field`` only names p.
+
+class _PlaneModel:
+    """Point test shared by the models y^2 = rhs(x)."""
+
+    def contains(self, pt: Point) -> bool:
+        if is_infinity(pt):
+            return True
+        p = self.field.p
+        return 0 <= pt.x < p and 0 <= pt.y < p and pt.y * pt.y % p == self.rhs(pt.x)
+
 
 @dataclass(frozen=True)
-class EllipticCurve:
+class EllipticCurve(_PlaneModel):
     """y^2 = x^3 + a x + b over F_p, nonsingular (4a^3 + 27b^2 != 0)."""
 
     field: PrimeField
-    a: FieldElement
-    b: FieldElement
+    a: int
+    b: int
 
     def __post_init__(self):
-        if self.a.field != self.field or self.b.field != self.field:
-            raise ValueError("coefficients must live in the curve's field")
         p = self.field.p
-        disc = (4 * pow(self.a.value, 3, p) + 27 * pow(self.b.value, 2, p)) % p
-        if disc == 0:
+        a, b = operator.index(self.a) % p, operator.index(self.b) % p
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if (4 * pow(a, 3, p) + 27 * b * b) % p == 0:
             raise SingularCurveError(f"4a^3 + 27b^2 = 0 mod {p}")
 
     @property
@@ -173,14 +189,7 @@ class EllipticCurve:
 
     def rhs(self, x: int) -> int:
         p = self.field.p
-        return (pow(x, 3, p) + self.a.value * x + self.b.value) % p
-
-    def contains(self, pt: Point) -> bool:
-        if is_infinity(pt):
-            return True
-        if pt.x.field != self.field:
-            return False
-        return pt.y.value * pt.y.value % self.field.p == self.rhs(pt.x.value)
+        return (pow(x, 3, p) + self.a * x + self.b) % p
 
     # group law -------------------------------------------------------------
 
@@ -188,7 +197,7 @@ class EllipticCurve:
         self._require(pt)
         if is_infinity(pt):
             return INFINITY
-        return AffinePoint(pt.x, -pt.y)
+        return AffinePoint(pt.x, -pt.y % self.field.p)
 
     def add(self, p1: Point, p2: Point) -> Point:
         self._require(p1)
@@ -217,40 +226,36 @@ class EllipticCurve:
         if is_infinity(p2):
             return p1
         p = self.field.p
-        x1, y1 = p1.x.value, p1.y.value
-        x2, y2 = p2.x.value, p2.y.value
+        x1, y1 = p1.x, p1.y
+        x2, y2 = p2.x, p2.y
         if x1 == x2:
             if (y1 + y2) % p == 0:
                 return INFINITY
-            lam = (3 * x1 * x1 + self.a.value) * pow(2 * y1, -1, p) % p
+            lam = (3 * x1 * x1 + self.a) * pow(2 * y1, -1, p) % p
         else:
             lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
         x3 = (lam * lam - x1 - x2) % p
         y3 = (lam * (x1 - x3) - y1) % p
-        return AffinePoint(self.field.element(x3), self.field.element(y3))
+        return AffinePoint(x3, y3)
 
 
 @dataclass(frozen=True)
-class HyperellipticCurve:
-    """y^2 = f(x) with f squarefree of odd degree 2g + 1 >= 5."""
+class HyperellipticCurve(_PlaneModel):
+    """y^2 = f(x) with f squarefree of odd degree 2g + 1 >= 5; f low degree first."""
 
     field: PrimeField
-    f: tuple[FieldElement, ...]
+    f: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(self.f)
+        p = self.field.p
+        coeffs = tuple(operator.index(c) % p for c in self.f)
         object.__setattr__(self, "f", coeffs)
-        if any(c.field != self.field for c in coeffs):
-            raise ValueError("coefficients must live in the curve's field")
         deg = len(coeffs) - 1
         if deg < 3 or deg % 2 == 0:
             raise BadDegreeError(f"f must have odd degree >= 3, got degree {deg}")
-        if coeffs[-1].value == 0:
+        if coeffs[-1] == 0:
             raise BadDegreeError("leading coefficient of f is zero")
-        p = self.field.p
-        fv = [c.value for c in coeffs]
-        g = _poly_gcd(fv, _poly_deriv(fv, p), p)
-        if len(g) != 1:
+        if len(_poly_gcd(coeffs, _poly_deriv(coeffs, p), p)) != 1:
             raise SingularCurveError("f is not squarefree")
 
     @property
@@ -261,47 +266,36 @@ class HyperellipticCurve:
         p = self.field.p
         acc = 0
         for c in reversed(self.f):
-            acc = (acc * x + c.value) % p
+            acc = (acc * x + c) % p
         return acc
-
-    def contains(self, pt: Point) -> bool:
-        if is_infinity(pt):
-            return True
-        if pt.x.field != self.field:
-            return False
-        return pt.y.value * pt.y.value % self.field.p == self.rhs(pt.x.value)
 
 
 Curve = Union[EllipticCurve, HyperellipticCurve]
 
 
 def elliptic_curve(p: int, a: int, b: int) -> EllipticCurve:
-    field = PrimeField(p)
-    return EllipticCurve(field, field.element(a), field.element(b))
+    return EllipticCurve(PrimeField(p), a, b)
 
 
 def hyperelliptic_curve(p: int, coeffs: Iterable[int]) -> HyperellipticCurve:
-    field = PrimeField(p)
-    return HyperellipticCurve(field, tuple(field.element(c) for c in coeffs))
+    return HyperellipticCurve(PrimeField(p), tuple(coeffs))
 
 
 @functools.lru_cache(maxsize=None)
 def enumerate_points(curve: Curve) -> tuple[Point, ...]:
-    """All rational points: infinity first, then affine points in (x, y) order."""
-    field = curve.field
-    p = field.p
+    """All rational points: infinity first, then affine points in (x, y) order.
+
+    ``sqrt_mod`` returns the smaller root, so ascending x already gives that order.
+    """
+    p = curve.field.p
     pts: list[Point] = [INFINITY]
     for x in range(p):
-        r = curve.rhs(x)
-        root = sqrt_mod(r, p)
+        root = sqrt_mod(curve.rhs(x), p)
         if root is None:
             continue
-        if root == 0:
-            pts.append(AffinePoint(field.element(x), field.zero))
-        else:
-            pts.append(AffinePoint(field.element(x), field.element(root)))
-            pts.append(AffinePoint(field.element(x), field.element(p - root)))
-    pts[1:] = sorted(pts[1:], key=lambda q: (q.x.value, q.y.value))
+        pts.append(AffinePoint(x, root))
+        if root:
+            pts.append(AffinePoint(x, p - root))
     return tuple(pts)
 
 
@@ -469,7 +463,7 @@ def eval_basis(curve: Curve, basis: MonomialBasis, pt: Point) -> tuple[int, ...]
     if not curve.contains(pt):
         raise PointNotOnCurveError(f"{pt!r} is not on the curve")
     p = curve.field.p
-    x, y = pt.x.value, pt.y.value
+    x, y = pt.x, pt.y
     max_i = max((i for i, _ in basis.exponents), default=0)
     xp = [1] * (max_i + 1)
     for i in range(1, max_i + 1):
@@ -515,6 +509,6 @@ def parse_curve_spec(spec: str) -> Curve:
 
 def format_curve_spec(curve: Curve) -> str:
     if isinstance(curve, EllipticCurve):
-        return f"ec:p={curve.field.p},a={curve.a.value},b={curve.b.value}"
-    coeffs = ",".join(str(c.value) for c in curve.f)
+        return f"ec:p={curve.field.p},a={curve.a},b={curve.b}"
+    coeffs = ",".join(map(str, curve.f))
     return f"hyp:p={curve.field.p},f={coeffs}"

@@ -31,9 +31,9 @@ from .curves import (
     Curve,
     EllipticCurve,
     HyperellipticCurve,
-    PrimeField,
     SingularCurveError,
     affine_points,
+    elliptic_curve,
     enumerate_points,
     format_curve_spec,
     group_structure,
@@ -50,7 +50,14 @@ from .groups import (
     log_generalized_binomial,
     subset_sum_table,
 )
-from .scheme import SchemeInstance, WrongGenusError, _decide, enumerate_access, scheme_build
+from .scheme import (
+    ORACLE_NAMES,
+    SchemeInstance,
+    WrongGenusError,
+    _decide,
+    enumerate_access,
+    scheme_build,
+)
 
 PRNG_NAME = "pcg64"
 MC_CHUNK = 1024
@@ -317,11 +324,9 @@ def curve_char_sum(curve: EllipticCurve, table, chi: Character, points) -> compl
 
 def find_elliptic_curve(q: int) -> EllipticCurve:
     """First b >= 1 making y^2 = x^3 + x + b nonsingular over F_q."""
-    fld = PrimeField(q)
-    for b in range(1, q):
-        if (4 + 27 * b * b) % q != 0:
-            return EllipticCurve(fld, fld.element(1), fld.element(b))
-    raise RuntimeError(f"no nonsingular curve of the search form over F_{q}")
+    # an invalid q falls through to b = 1, so elliptic_curve rejects it loudly
+    b = next((b for b in range(1, q) if (4 + 27 * b * b) % q), 1)
+    return elliptic_curve(q, 1, b)
 
 
 def find_hyperelliptic_curve(q: int, genus: int = 2) -> HyperellipticCurve:
@@ -374,7 +379,7 @@ class ExperimentConfig:
             raise ValueError(f"delta must lie strictly in (0, 2/3), got {self.delta}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.oracle not in ("kernel", "dual", "clx"):
+        if self.oracle not in ORACLE_NAMES:
             raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")

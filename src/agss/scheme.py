@@ -46,12 +46,13 @@ from .curves import (
 )
 from .field import (
     FieldElement,
+    FieldMismatchError,
     NoSolutionError,
     _solve,
     in_row_space,
     kernel_array,
     matvec_array,
-    rank_array,
+    rank_array,  # unused here, but bench/probes.py wraps agss.scheme.rank_array
     solvable_array,
     solve_array,
 )
@@ -204,11 +205,10 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
     cols = [eval_basis(curve, basis, pt) for pt in pts]
     gen = np.array(cols, dtype=np.int64).T.copy()  # rows = basis functions, cols = points
 
-    if rank_array(gen, p) != len(basis):
-        raise RuntimeError("evaluation matrix lost rank; invalid configuration")
     omega_rows = kernel_array(gen, p)
-    if len(omega_rows) != n - m + g:
-        raise RuntimeError("share code has unexpected dimension")
+    # nullity = (n + 1) - rank, so full row rank is exactly this kernel size
+    if len(omega_rows) != gen.shape[1] - len(basis):
+        raise RuntimeError("evaluation matrix lost rank; invalid configuration")
     if not any(int(row[0]) for row in omega_rows):
         raise SecretPositionDegenerateError("every share-code word vanishes at position 0")
 
@@ -229,6 +229,15 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
 
 # --- dealing and reconstruction ------------------------------------------------
 
+def _residue(field, value) -> int:
+    """The canonical int of a secret or share; a FieldElement must be over ``field``."""
+    if isinstance(value, FieldElement):
+        if value.field != field:
+            raise FieldMismatchError(f"a value in {value.field} given to a scheme over {field}")
+        return value.value
+    return int(value) % field.p
+
+
 def share(scheme: SchemeInstance, secret, seed: int) -> ShareVector:
     """Deal a uniformly random share-code word with the given secret at position 0.
 
@@ -236,7 +245,7 @@ def share(scheme: SchemeInstance, secret, seed: int) -> ShareVector:
     by ``seed`` supplies the coset coefficients.
     """
     p = scheme.field.p
-    s_val = secret.value if isinstance(secret, FieldElement) else int(secret) % p
+    s_val = _residue(scheme.field, secret)
     w = scheme.omega_matrix
     pivot = next(i for i in range(w.shape[0]) if int(w[i, 0]))
     inv = pow(int(w[pivot, 0]), -1, p)
@@ -287,9 +296,7 @@ def reconstruct(scheme: SchemeInstance, subset: Sequence[int], shares: Sequence)
     except NoSolutionError:
         raise NotQualifiedError(f"subset {list(s_idx)} cannot reconstruct the secret") from None
     weights = matvec_array(scheme.player_rows[list(s_idx)], coeff, p)
-    share_vals = np.array(
-        [v.value if isinstance(v, FieldElement) else int(v) % p for v in shares], dtype=np.int64
-    )
+    share_vals = np.array([_residue(scheme.field, v) for v in shares], dtype=np.int64)
     total = int((weights * share_vals % p).sum() % p)
     return scheme.field.element(-total)
 

@@ -128,6 +128,15 @@ def test_scheme_p0_override(capsys):
     assert code == 2  # not a point of the curve
 
 
+def test_scheme_p0_override_reduces_mod_p(capsys):
+    args = ("scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5",
+            "--action", "share", "--secret", "5", "--seed", "3")
+    canonical = run(capsys, *args, "--p0", "0,1")
+    shifted = run(capsys, *args, "--p0", "13,14")
+    assert canonical[0] == 0
+    assert shifted == canonical
+
+
 def test_count_command(capsys):
     code, out, _ = run(
         capsys, "count", "--group", "ab:5", "--pointset", "full", "--t", "2", "--b", "0",

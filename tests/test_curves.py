@@ -62,7 +62,7 @@ def test_point_enumeration_against_brute_force():
         for y in range(5)
         if (y * y - (x**3 + x + 1)) % 5 == 0
     }
-    assert {(pt.x.value, pt.y.value) for pt in pts if not is_infinity(pt)} == brute
+    assert {(pt.x, pt.y) for pt in pts if not is_infinity(pt)} == brute
 
     h = hyperelliptic_curve(11, [1, 0, 0, 0, 0, 1])
     count = len(enumerate_points(h))
@@ -76,16 +76,57 @@ def test_point_enumeration_against_brute_force():
 
 def test_group_law():
     e = elliptic_curve(5, 1, 1)
-    p = AffinePoint(e.field.element(0), e.field.element(1))
+    p = AffinePoint(0, 1)
     assert e.add(p, INFINITY) == p
     assert is_infinity(e.add(p, e.neg(p)))
     dbl = e.add(p, p)
-    assert (dbl.x.value, dbl.y.value) == (4, 2)
+    assert (dbl.x, dbl.y) == (4, 2)
     assert e.contains(dbl)
 
-    off_curve = AffinePoint(e.field.element(1), e.field.element(1))
+    off_curve = AffinePoint(1, 1)
     with pytest.raises(PointNotOnCurveError):
         e.add(p, off_curve)
+
+
+def test_points_are_ints_in_strictly_increasing_order():
+    # 103 = 3 mod 4 and 101 = 1 mod 4 take the two branches of sqrt_mod
+    for p in (103, 101):
+        for curve in (elliptic_curve(p, 1, 1), hyperelliptic_curve(p, [1, 1, 0, 0, 0, 1])):
+            affine = affine_points(curve)
+            assert all(type(pt.x) is int and type(pt.y) is int for pt in affine)
+            keys = [(pt.x, pt.y) for pt in affine]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert all(0 <= v < p for key in keys for v in key)
+
+
+def test_contains_requires_canonical_coordinates():
+    e = elliptic_curve(5, 1, 1)
+    h = hyperelliptic_curve(11, [1, 0, 0, 0, 0, 1])
+    for curve in (e, h):
+        pt = affine_points(curve)[0]
+        p = curve.field.p
+        assert curve.contains(pt)
+        for shifted in (AffinePoint(pt.x + p, pt.y), AffinePoint(pt.x, pt.y + p)):
+            assert not curve.contains(shifted)
+            with pytest.raises(PointNotOnCurveError):
+                eval_basis(curve, rr_basis(curve, 5), shifted)
+    with pytest.raises(PointNotOnCurveError):
+        e.add(AffinePoint(0, 1), AffinePoint(5, 1))
+
+
+def test_coefficients_are_reduced_ints():
+    assert elliptic_curve(13, 14, 1) == elliptic_curve(13, 1, 1)
+    assert hash(elliptic_curve(13, 14, 1)) == hash(elliptic_curve(13, 1, 1))
+    assert format_curve_spec(elliptic_curve(13, 14, -12)) == "ec:p=13,a=1,b=1"
+    h = hyperelliptic_curve(7, [8, 0, 0, 0, 0, -6])
+    assert h == hyperelliptic_curve(7, [1, 0, 0, 0, 0, 1])
+    assert all(type(c) is int for c in h.f)
+    with pytest.raises(BadDegreeError):
+        hyperelliptic_curve(7, [1, 0, 0, 0, 0, 7])  # leading coefficient is 0 mod 7
+    with pytest.raises(TypeError):
+        elliptic_curve(13, 1.0, 1)
+    with pytest.raises(TypeError):
+        hyperelliptic_curve(7, [1, 0, 0, 0, 0, 1.0])
 
 
 def test_group_law_properties_random_triples():
@@ -197,7 +238,7 @@ def test_rr_basis_dimension_law():
 
 def test_eval_basis():
     e = elliptic_curve(5, 1, 1)
-    pt = AffinePoint(e.field.element(0), e.field.element(1))
+    pt = AffinePoint(0, 1)
     vals = eval_basis(e, rr_basis(e, 3), pt)
     assert vals == (1, 0, 1)
     assert all(type(v) is int for v in vals)
@@ -206,7 +247,7 @@ def test_eval_basis():
 
     h = hyperelliptic_curve(11, [1, 0, 0, 0, 0, 1])
     some = affine_points(h)[1]
-    x, y = some.x.value, some.y.value
+    x, y = some.x, some.y
     vals = eval_basis(h, rr_basis(h, 5), some)
     assert vals == (1, x, x * x % 11, y)
 

@@ -194,10 +194,10 @@ def test_curve_char_sum():
 
 def test_find_curves_deterministic():
     e = find_elliptic_curve(101)
-    assert (e.a.value, e.b.value) == (1, 1)
+    assert (e.a, e.b) == (1, 1)
     h = find_hyperelliptic_curve(101, 2)
     assert h.genus == 2
-    assert [c.value for c in h.f][:2] == [1, 1]  # constant term found by search
+    assert list(h.f)[:2] == [1, 1]  # constant term found by search
     assert find_elliptic_curve(101) == e
 
 
@@ -205,6 +205,8 @@ def test_find_curves_reject_a_composite_field_size():
     for find in (find_elliptic_curve, find_hyperelliptic_curve):
         with pytest.raises(ValueError, match="100 is not prime"):
             find(100)
+    with pytest.raises(ValueError, match="at least 5"):
+        find_elliptic_curve(1)
 
 
 def test_standard_scheme_layout():

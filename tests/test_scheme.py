@@ -15,7 +15,7 @@ from agss.curves import (
     hyperelliptic_curve,
 )
 from agss import field
-from agss.field import matvec_array, rank_array
+from agss.field import FieldMismatchError, PrimeField, matvec_array, rank_array
 from agss.groups import InstanceTooLargeError, subset_sum_count, AbelianGroup
 from agss.curves import group_structure
 from agss.scheme import (
@@ -217,6 +217,40 @@ def test_qualified_dual_eliminates_the_subset_system_once(monkeypatch):
     calls.clear()
     assert not is_qualified_dual(sch, []).qualified
     assert len(calls) == 1
+
+
+def test_scheme_build_eliminates_the_evaluation_matrix_once(monkeypatch):
+    curve = elliptic_curve(13, 1, 1)
+    pts = affine_points(curve)
+    calls = []
+    forward = field._forward_echelon
+
+    def counting(a, p):
+        calls.append(np.shape(a))
+        return forward(a, p)
+
+    monkeypatch.setattr(field, "_forward_echelon", counting)
+    sch = scheme_build(curve, pts[0], pts[1:], 5)
+    assert calls == [sch.gen_matrix.shape]
+
+
+def test_share_rejects_a_secret_from_another_field():
+    sch = build_f13_scheme()
+    with pytest.raises(FieldMismatchError):
+        share(sch, PrimeField(101).element(7), seed=1)
+    assert share(sch, sch.field.element(7), seed=1) == share(sch, 7, seed=1)
+
+
+def test_reconstruct_rejects_shares_from_another_field():
+    sch = build_f13_scheme()
+    vec = share(sch, 3, seed=1)
+    everyone = range(sch.n)
+    foreign = [PrimeField(101).element(s.value) for s in vec.shares]
+    with pytest.raises(FieldMismatchError):
+        reconstruct(sch, everyone, foreign)
+    with pytest.raises(FieldMismatchError):
+        reconstruct(sch, everyone, list(vec.shares[:-1]) + foreign[-1:])
+    assert reconstruct(sch, everyone, [s.value for s in foreign]).value == 3
 
 
 def test_clx_specific_cases():
