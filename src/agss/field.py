@@ -5,6 +5,10 @@ elements of different fields is a hard error, never a coercion.  Matrices
 are plain int64 arrays with entries reduced mod p, and every routine is
 canonical: one forward elimination loop picks the first nonzero pivot in
 column order, so identical inputs always produce bit-identical outputs.
+That loop delays reduction mod p (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
+2008): a step reduces only the pivot column and the pivot row, and the
+trailing block is reduced only as often as int64 exactness requires.
+Rank, RREF, kernel, solve and the row-space test all run through it.
 """
 
 from __future__ import annotations
@@ -178,8 +182,9 @@ class FieldElement:
 
 # ---------------------------------------------------------------------------
 # Array-level elimination.  All functions take entries already reduced mod p
-# (int64) and never mutate their arguments.  With p < 2^31 every intermediate
-# product fits in int64, so the arithmetic below is exact.
+# (int64) and never mutate their arguments.  With p < 2^31 every product of
+# two residues fits in int64, and _forward_echelon bounds how many of them an
+# entry accumulates, so the arithmetic below is exact.
 
 def _forward_echelon(a: np.ndarray, p: int):
     """Forward elimination with pivot rows normalized to 1.
@@ -187,26 +192,42 @@ def _forward_echelon(a: np.ndarray, p: int):
     Returns (m, pivots) where rows 0..len(pivots)-1 of m are an echelon
     basis of the row space.  Columns left of each pivot are already zero,
     so updates touch only the trailing block.
+
+    Reduction mod p is delayed: each step reduces only the pivot column
+    (to find the pivot) and the pivot row, and subtracts the rank-1 update
+    from the trailing block unreduced; the block is reduced after ``delay``
+    unreduced updates.  Every column is reduced when the loop reaches it and
+    only later columns are updated after that, so the result is the same as
+    with a reduction after every step.
     """
     m = np.array(a, dtype=np.int64) % p
     rows, cols = m.shape
+    # an update moves an entry by less than (p - 1)^2, so an entry in [0, p)
+    # absorbs this many of them without leaving int64 (2 near p = 2^31)
+    delay = (2**63 - 1 - p) // (p - 1) ** 2
+    pending = 0
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        col = m[r:, c]
+        col %= p
+        nz = col.nonzero()[0]
+        if not nz.size:
             continue
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
-        inv = pow(int(m[r, c]), -1, p)
-        m[r, c:] = m[r, c:] * inv % p
-        col = m[r + 1:, c]
-        if col.any():
-            m[r + 1:, c:] -= np.outer(col, m[r, c:])
-            m[r + 1:, c:] %= p
+        row = m[r, c:]
+        row %= p
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        m[r + 1:, c:] -= m[r + 1:, c, None] * row
+        pending += 1
+        if pending == delay:
+            m[r + 1:, c + 1:] %= p
+            pending = 0
         pivots.append(c)
         r += 1
     return m, pivots
@@ -239,18 +260,20 @@ def rank_array(a: np.ndarray, p: int) -> int:
 
 def kernel_array(a: np.ndarray, p: int) -> list[np.ndarray]:
     """Canonical nullspace basis of a (one vector per free column)."""
-    r, pivots = rref_array(a, p)
-    cols = a.shape[1]
+    return list(_kernel_from_rref(*rref_array(a, p), p))
+
+
+def _kernel_from_rref(r: np.ndarray, pivots, p: int) -> np.ndarray:
+    """The nullspace basis read off an RREF, one row per free column f:
+    a 1 at f and -r[i, f] at the i-th pivot column."""
+    cols = r.shape[1]
+    pivots = list(pivots)
     pivot_set = set(pivots)
-    basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = np.zeros(cols, dtype=np.int64)
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-int(r[i, f])) % p
-        basis.append(v)
+    free = [f for f in range(cols) if f not in pivot_set]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for j, f in enumerate(free):
+        basis[j, f] = 1
+        basis[j, pivots] = -r[:len(pivots), f] % p
     return basis
 
 
@@ -294,14 +317,8 @@ def solvable_array(a: np.ndarray, b: np.ndarray, p: int) -> bool:
 
 
 def in_row_space(a: np.ndarray, vec: np.ndarray, p: int) -> bool:
-    """Whether vec lies in the row space of a."""
-    ech, pivots = _forward_echelon(a, p)
-    v = np.asarray(vec, dtype=np.int64) % p  # fresh array; safe to mutate
-    for r, c in enumerate(pivots):
-        vc = int(v[c])
-        if vc:
-            v[c:] = (v[c:] - ech[r, c:] * vc) % p
-    return not v.any()
+    """Whether vec lies in the row space of a, i.e. a^T x = vec is solvable."""
+    return solvable_array(np.asarray(a).T, vec, p)
 
 
 def matvec_array(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:

@@ -25,6 +25,7 @@ command-line front end turns into a dedicated exit code.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -48,11 +49,13 @@ from .field import (
     FieldElement,
     FieldMismatchError,
     NoSolutionError,
+    _kernel_from_rref,
     _solve,
     in_row_space,
     kernel_array,
     matvec_array,
     rank_array,  # unused here, but bench/probes.py wraps agss.scheme.rank_array
+    rref_array,
     solvable_array,
     solve_array,
 )
@@ -128,7 +131,10 @@ class SchemeInstance:
     column j holding the basis values at point j (the secret position is
     column 0); ``omega_matrix`` rows form the canonical nullspace basis,
     i.e. a basis of the share code.  Both are read-only int64 arrays with
-    entries reduced mod p.
+    entries reduced mod p.  ``pivots`` are the pivot columns of the RREF of
+    ``gen_matrix``; with them, ``omega_matrix`` also holds that RREF's free
+    block: ``omega_matrix[j, pivots[i]] == -RREF[i, f_j]`` for the j-th
+    free column f_j.
     """
 
     curve: Curve
@@ -139,6 +145,7 @@ class SchemeInstance:
     basis: MonomialBasis
     gen_matrix: np.ndarray
     omega_matrix: np.ndarray
+    pivots: tuple[int, ...]
 
     def __setstate__(self, state):
         # unpickled arrays come back writeable; keep the code matrices read-only
@@ -176,6 +183,19 @@ class SchemeInstance:
         return self.gen_matrix[:, 0].copy()
 
     @cached_property
+    def _systematic_index(self):
+        """Per code coordinate: whether it is a pivot column, and its RREF
+        row (pivot) or ``omega_matrix`` row (free); plus the pivot columns."""
+        cols = self.gen_matrix.shape[1]
+        pivots = np.array(self.pivots, dtype=np.int64)
+        is_pivot = np.zeros(cols, dtype=bool)
+        is_pivot[pivots] = True
+        slot = np.empty(cols, dtype=np.int64)
+        slot[is_pivot] = np.arange(len(pivots))
+        slot[~is_pivot] = np.arange(cols - len(pivots))
+        return is_pivot, slot, pivots
+
+    @cached_property
     def _clx_data(self):
         if not isinstance(self.curve, EllipticCurve):
             raise WrongGenusError("group-law oracle requires an elliptic curve")
@@ -205,14 +225,14 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
     cols = [eval_basis(curve, basis, pt) for pt in pts]
     gen = np.array(cols, dtype=np.int64).T.copy()  # rows = basis functions, cols = points
 
-    omega_rows = kernel_array(gen, p)
+    rref, pivots = rref_array(gen, p)
+    omega = _kernel_from_rref(rref, pivots, p)
     # nullity = (n + 1) - rank, so full row rank is exactly this kernel size
-    if len(omega_rows) != gen.shape[1] - len(basis):
+    if omega.shape[0] != gen.shape[1] - len(basis):
         raise RuntimeError("evaluation matrix lost rank; invalid configuration")
-    if not any(int(row[0]) for row in omega_rows):
+    if not omega[:, 0].any():
         raise SecretPositionDegenerateError("every share-code word vanishes at position 0")
 
-    omega = np.array(omega_rows, dtype=np.int64)
     gen.flags.writeable = False
     omega.flags.writeable = False
     return SchemeInstance(
@@ -224,6 +244,7 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
         basis=basis,
         gen_matrix=gen,
         omega_matrix=omega,
+        pivots=pivots,
     )
 
 
@@ -235,7 +256,7 @@ def _residue(field, value) -> int:
         if value.field != field:
             raise FieldMismatchError(f"a value in {value.field} given to a scheme over {field}")
         return value.value
-    return int(value) % field.p
+    return operator.index(value) % field.p
 
 
 def share(scheme: SchemeInstance, secret, seed: int) -> ShareVector:
@@ -304,9 +325,24 @@ def reconstruct(scheme: SchemeInstance, subset: Sequence[int], shares: Sequence)
 # --- qualification oracles -----------------------------------------------------
 
 def _kernel_qualified(scheme: SchemeInstance, a_idx) -> bool:
-    # qualified iff the P0 evaluation row is independent of the rows at A
-    rows = scheme.player_rows[a_idx]
-    return not in_row_space(rows, scheme.p0_row, scheme.field.p)
+    """Qualified iff the P0 column of gen is outside the span of the A columns.
+
+    Row operations keep column relations, so this is asked of RREF(gen).
+    There column 0 is the unit vector e_0 (the constant function makes it
+    pivot 0), and each pivot column in A is a unit vector that only removes
+    its row.  What is left: is e_0 in the span of A's free columns, on the
+    remaining pivot rows?  Those columns are rows of ``omega_matrix`` read
+    at the pivot columns, negated, and a sign does not change a span.
+    """
+    is_pivot, slot, pivots = scheme._systematic_index
+    cols = np.asarray(a_idx, dtype=np.int64) + 1
+    in_pivot = is_pivot[cols]
+    keep = np.ones(len(pivots), dtype=bool)
+    keep[slot[cols[in_pivot]]] = False
+    rows = scheme.omega_matrix.take(slot[cols[~in_pivot]], axis=0).take(pivots[keep], axis=1)
+    e0 = np.zeros(rows.shape[1], dtype=np.int64)
+    e0[0] = 1  # row 0 (the pivot of column 0) is always kept
+    return not in_row_space(rows, e0, scheme.field.p)
 
 
 def _dual_system(scheme: SchemeInstance, a_idx):

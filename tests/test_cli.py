@@ -237,6 +237,16 @@ def test_experiment_missing_seed_is_an_error(tmp_path, capsys):
     assert "seed" in err
 
 
+def test_experiment_genus2_invalid_field_size_exits_2(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path / "exp.ini",
+        "[experiment]\nq = 1\ngenus = 2\noffsets = 0\nmode = montecarlo\nsamples = 10\nseed = 1\n",
+    )
+    code, _, err = run(capsys, "experiment", "--config", cfg, "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert "at least 5" in err
+
+
 def test_experiment_unknown_config_key(tmp_path, capsys):
     cfg = _write_config(tmp_path / "exp.ini", "[experiment]\nq = 13\nseed = 1\nwhat = 2\n")
     code, _, _ = run(capsys, "experiment", "--config", cfg, "--out", str(tmp_path / "x.csv"))

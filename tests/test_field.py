@@ -169,9 +169,9 @@ def test_rref_is_canonical_and_deterministic():
 
 
 @st.composite
-def small_matrices(draw):
+def small_matrices(draw, primes=(5, 13, 101)):
     """(p, a) with a at most 8 x 8 over F_p; half are built with low rank."""
-    p = draw(st.sampled_from([5, 13, 101]))
+    p = draw(st.sampled_from(primes))
     rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
 
     def entries(r, c):
@@ -180,7 +180,9 @@ def small_matrices(draw):
 
     if draw(st.booleans()):
         k = draw(st.integers(0, min(rows, cols)))
-        return p, entries(rows, k) @ entries(k, cols) % p
+        # object dtype keeps the product exact for p near 2^31
+        low = entries(rows, k).astype(object) @ entries(k, cols).astype(object) % p
+        return p, low.astype(np.int64)
     return p, entries(rows, cols)
 
 
@@ -208,3 +210,53 @@ def test_rref_properties_pin_the_canonical_form(pa):
     assert all(in_row_space(r, row, p) for row in a)
     assert all(in_row_space(a, row, p) for row in r)
 
+
+
+def reference_rref(a, p):
+    """Gauss-Jordan on Python ints, reducing every entry after every step."""
+    m = [[int(x) % p for x in row] for row in a]
+    rows, cols = len(m), len(m[0])
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        i = next((i for i in range(r, rows) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for j in range(rows):
+            if j != r and m[j][c]:
+                f = m[j][c]
+                m[j] = [(x - f * y) % p for x, y in zip(m[j], m[r])]
+        pivots.append(c)
+    return np.array(m, dtype=np.int64), tuple(pivots)
+
+
+# 2^31 - 1 and 1753413037 let an int64 entry absorb only 2 and 3 unreduced
+# updates, so the delayed reduction must fire inside an 8 x 8 elimination
+@settings(max_examples=300, deadline=None)
+@given(small_matrices(primes=(2**31 - 1, 1753413037, 101)), st.data())
+def test_elimination_near_the_field_cap_matches_a_reference(pa, data):
+    p, a = pa
+    r, pivots = rref_array(a, p)
+    ref, ref_pivots = reference_rref(a, p)
+    assert pivots == ref_pivots and np.array_equal(r, ref)
+    assert rank_array(a, p) == len(ref_pivots)
+    # vec is in the row space iff appending it keeps the reference rank
+    vec = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=a.shape[1], max_size=a.shape[1])), dtype=np.int64)
+    grown = len(reference_rref(np.vstack([a, vec[None, :]]), p)[1])
+    assert in_row_space(a, vec, p) == (grown == len(ref_pivots))
+    assert in_row_space(a, a[-1], p)
+
+
+def test_elimination_near_the_field_cap_on_larger_matrices():
+    # 20+ unreduced updates of size ~2^60 would leave int64 without the guard
+    rng = np.random.default_rng(31)
+    for p in (2**31 - 1, 1753413037):
+        for rows, cols, k in [(24, 24, 24), (24, 30, 24), (30, 20, 20), (24, 24, 12)]:
+            left = rng.integers(0, p, size=(rows, k)).astype(object)
+            a = (left @ rng.integers(0, p, size=(k, cols)).astype(object) % p).astype(np.int64)
+            r, pivots = rref_array(a, p)
+            ref, ref_pivots = reference_rref(a, p)
+            assert pivots == ref_pivots and np.array_equal(r, ref)

@@ -15,15 +15,17 @@ from agss.curves import (
     hyperelliptic_curve,
 )
 from agss import field
-from agss.field import FieldMismatchError, PrimeField, matvec_array, rank_array
+from agss.field import FieldMismatchError, PrimeField, in_row_space, matvec_array, rank_array
 from agss.groups import InstanceTooLargeError, subset_sum_count, AbelianGroup
 from agss.curves import group_structure
+from agss.experiments import find_hyperelliptic_curve, standard_scheme
 from agss.scheme import (
     DegreeOutOfRangeError,
     DuplicatePointError,
     NotQualifiedError,
     PrivacyVerdict,
     WrongGenusError,
+    _kernel_qualified,
     enumerate_access,
     is_qualified_clx,
     is_qualified_dual,
@@ -251,6 +253,50 @@ def test_reconstruct_rejects_shares_from_another_field():
     with pytest.raises(FieldMismatchError):
         reconstruct(sch, everyone, list(vec.shares[:-1]) + foreign[-1:])
     assert reconstruct(sch, everyone, [s.value for s in foreign]).value == 3
+
+
+def test_share_api_rejects_floats():
+    sch = build_f13_scheme()
+    with pytest.raises(TypeError):
+        share(sch, 7.9, seed=1)
+    assert share(sch, np.int64(7), seed=1) == share(sch, 7, seed=1)
+    vec = share(sch, 3, seed=1)
+    everyone = range(sch.n)
+    with pytest.raises(TypeError):
+        reconstruct(sch, everyone, [s.value + 0.9 for s in vec.shares])
+    assert reconstruct(sch, everyone, [np.int64(s.value) for s in vec.shares]).value == 3
+
+
+def test_kernel_oracle_matches_the_direct_row_space_test():
+    # the systematic-form oracle reads omega_matrix; the direct form asks
+    # whether the P0 row of gen lies in the span of the rows at A
+    rng = np.random.default_rng(19)
+    schemes = [
+        standard_scheme(find_hyperelliptic_curve(101), 0.5),
+        build_f13_scheme(),
+        build_tiny_scheme(),
+        build_genus2_scheme(),
+    ]
+    for sch in schemes:
+        p = sch.field.p
+        verdicts = set()
+        for off in range(2 * sch.genus):
+            for _ in range(60):
+                a_idx = np.sort(rng.choice(sch.n, size=sch.m - off, replace=False))
+                direct = not in_row_space(sch.player_rows[a_idx], sch.p0_row, p)
+                assert _kernel_qualified(sch, a_idx) == direct
+                verdicts.add(direct)
+        assert verdicts == {True, False}
+
+
+def test_pivots_survive_pickling():
+    sch = build_genus2_scheme()
+    assert sch.pivots[0] == 0 and len(sch.pivots) == sch.dim_code
+    clone = pickle.loads(pickle.dumps(sch))
+    assert clone.pivots == sch.pivots
+    assert all(type(c) is int for c in clone.pivots)
+    for s in ([], [0, 2, 4], list(range(1, sch.n))):
+        assert is_qualified_kernel(clone, s).qualified == is_qualified_kernel(sch, s).qualified
 
 
 def test_clx_specific_cases():
