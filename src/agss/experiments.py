@@ -191,19 +191,6 @@ def _mc_chunk(scheme: SchemeInstance, t: int, seed_seq: tuple[int, ...], count: 
     return hits
 
 
-# set once per pool worker process by the executor's initializer
-_worker_scheme: Optional[SchemeInstance] = None
-
-
-def _set_worker_scheme(scheme: SchemeInstance) -> None:
-    global _worker_scheme
-    _worker_scheme = scheme
-
-
-def _worker_mc_chunk(t: int, seed_seq: tuple[int, ...], count: int, oracle: str) -> int:
-    return _mc_chunk(_worker_scheme, t, seed_seq, count, oracle)
-
-
 def mc_proportion(
     scheme: SchemeInstance,
     t: int,
@@ -225,13 +212,12 @@ def mc_proportion(
     sizes = [MC_CHUNK] * (samples // MC_CHUNK)
     if samples % MC_CHUNK:
         sizes.append(samples % MC_CHUNK)
-    tasks = [(t, base + (ci,), sz, oracle) for ci, sz in enumerate(sizes)]
+    tasks = [(scheme, t, base + (ci,), sz, oracle) for ci, sz in enumerate(sizes)]
     if workers > 1 and len(tasks) > 1:
-        # each worker receives the scheme once, not once per chunk
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_scheme, initargs=(scheme,)) as pool:
-            hits = sum(pool.map(_worker_mc_chunk, *zip(*tasks)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            hits = sum(pool.map(_mc_chunk, *zip(*tasks)))
     else:
-        hits = sum(_mc_chunk(scheme, *task) for task in tasks)
+        hits = sum(_mc_chunk(*task) for task in tasks)
     lo, hi = wilson_interval(hits, samples)
     return ProportionEstimate(hits, samples, hits / samples, lo, hi, False)
 

@@ -4,9 +4,8 @@ import pytest
 
 from agss.curves import affine_points, elliptic_curve, enumerate_points, group_structure, hyperelliptic_curve
 from agss.groups import AbelianGroup, TrivialCharacterError, amplitude
-from agss.scheme import SchemeInstance, WrongGenusError, enumerate_access
+from agss.scheme import WrongGenusError, enumerate_access
 from agss.experiments import (
-    MC_CHUNK,
     ExperimentConfig,
     RegimeMismatchError,
     UnsupportedOffsetError,
@@ -119,21 +118,6 @@ def test_mc_worker_independence():
     serial = mc_proportion(sch, t, 2500, seed=11, workers=1)
     parallel = mc_proportion(sch, t, 2500, seed=11, workers=3)
     assert serial == parallel
-
-
-def test_mc_pool_sends_the_scheme_once_per_worker(monkeypatch):
-    sch = small_elliptic_scheme()
-    pickled = []
-
-    def counting_getstate(self):
-        pickled.append(1)
-        return self.__dict__
-
-    monkeypatch.setattr(SchemeInstance, "__getstate__", counting_getstate, raising=False)
-    # 5 chunks of MC_CHUNK samples on 2 workers
-    parallel = mc_proportion(sch, sch.m, 5 * MC_CHUNK, seed=3, workers=2)
-    assert len(pickled) <= 2
-    assert parallel == mc_proportion(sch, sch.m, 5 * MC_CHUNK, seed=3, workers=1)
 
 
 def test_bound_theorem3_examples():
