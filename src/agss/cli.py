@@ -126,10 +126,9 @@ def cmd_curve_info(args) -> int:
     print(f"points={len(pts)}")
     print(f"hasse_ok={str(report.ok).lower()}")
     if isinstance(curve, EllipticCurve):
-        table = group_structure(curve)
-        print(f"invariant_factors={table.d1},{table.d2}")
-        name = f"Z_{table.d2}" if table.d1 == 1 else f"Z_{table.d1} x Z_{table.d2}"
-        print(f"group={name}")
+        factors = group_structure(curve).group.factors
+        print("invariant_factors=" + ",".join(map(str, factors)))
+        print("group=" + " x ".join(f"Z_{d}" for d in factors if d > 1))
     return EXIT_OK
 
 
@@ -354,7 +353,7 @@ def cmd_experiment(args) -> int:
     except (SingularCurveError, BadDegreeError) as exc:
         _err(str(exc))
         return EXIT_CURVE
-    except (ValueError, WrongGenusError, UnsupportedOffsetError) as exc:
+    except (ValueError, DegreeOutOfRangeError, WrongGenusError, UnsupportedOffsetError) as exc:
         _err(str(exc))
         return EXIT_PARSE
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -3,8 +3,9 @@
 Two families:
 
 * short Weierstrass elliptic curves ``y^2 = x^3 + a x + b`` (genus 1), which
-  additionally carry the chord-tangent group law and a full discrete-log
-  table of their point group;
+  additionally carry the chord-tangent group law; ``group_structure``
+  presents their point group as an ``AbelianGroup`` with a full
+  discrete-log table;
 * odd-degree hyperelliptic curves ``y^2 = f(x)`` with ``deg f = 2g + 1``
   (genus g >= 2), used purely through linear algebra downstream.
 
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .field import PrimeField
+from .groups import AbelianGroup
 
 
 class SingularCurveError(Exception):
@@ -328,34 +330,22 @@ def _point_order(curve: EllipticCurve, pt: Point, group_order: int, primes) -> i
 
 @dataclass(eq=False)
 class GroupTable:
-    """Invariant-factor presentation Z_d1 x Z_d2 of an elliptic point group.
+    """An elliptic point group as ``group`` = Z_d1 x Z_d2 (d1 | d2, both
+    factors kept even when d1 = 1) plus the discrete log of every point.
 
-    ``dlog`` maps every rational point to its coordinate pair, so group sums
-    of points reduce to componentwise modular addition.
+    ``dlog`` maps every rational point to its element of ``group``, so group
+    sums of points reduce to componentwise modular addition.
     """
 
     curve: EllipticCurve
-    d1: int
-    d2: int
-    g1: Point
-    g2: Point
+    group: AbelianGroup
     dlog: dict[Point, tuple[int, int]]
 
     def __post_init__(self):
-        if self.d2 % self.d1 != 0:
-            raise ValueError("invariant factors must form a divisibility chain")
-        if (self.curve.field.p - 1) % self.d1 != 0:
+        if (self.curve.field.p - 1) % self.group.factors[0] != 0:
             raise ValueError("d1 must divide p - 1")
-        if len(self.dlog) != self.d1 * self.d2:
+        if len(self.dlog) != self.group.order:
             raise ValueError("dlog table is not a bijection")
-
-    @property
-    def order(self) -> int:
-        return self.d1 * self.d2
-
-    @property
-    def invariant_factors(self) -> tuple[int, int]:
-        return (self.d1, self.d2)
 
     def log(self, pt: Point) -> tuple[int, int]:
         return self.dlog[pt]
@@ -366,7 +356,8 @@ def group_structure(curve: EllipticCurve) -> GroupTable:
     """Compute Z_d1 x Z_d2 with d1 | d2 and a complete discrete-log table.
 
     Exhaustive order computation plus a two-generator product table; intended
-    for desk-scale groups, no point-counting shortcuts.
+    for desk-scale groups, no point-counting shortcuts.  A cyclic group takes
+    the identity as its first generator.
     """
     pts = enumerate_points(curve)
     n = len(pts)
@@ -379,23 +370,15 @@ def group_structure(curve: EllipticCurve) -> GroupTable:
     d1 = n // d2
 
     g2 = next(pt for pt in pts if orders[pt] == d2)
-    if d1 == 1:
-        dlog: dict[Point, tuple[int, int]] = {}
-        q: Point = INFINITY
-        for k in range(n):
-            dlog[q] = (0, k)
-            q = curve._add_raw(q, g2)
-        return GroupTable(curve, 1, d2, INFINITY, g2, dlog)
-
     multiples = []
-    q = INFINITY
+    q: Point = INFINITY
     for _ in range(d2):
         multiples.append(q)
         q = curve._add_raw(q, g2)
     for cand in pts:
         if orders[cand] != d1:
             continue
-        dlog = {}
+        dlog: dict[Point, tuple[int, int]] = {}
         base: Point = INFINITY
         ok = True
         for u in range(d1):
@@ -409,7 +392,7 @@ def group_structure(curve: EllipticCurve) -> GroupTable:
                 break
             base = curve._add_raw(base, cand)
         if ok and len(dlog) == n:
-            return GroupTable(curve, d1, d2, cand, g2, dlog)
+            return GroupTable(curve, AbelianGroup((d1, d2)), dlog)
     raise RuntimeError("no generator pair found; group structure computation failed")
 
 

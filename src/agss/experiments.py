@@ -41,7 +41,6 @@ from .curves import (
     parse_curve_spec,
 )
 from .groups import (
-    AbelianGroup,
     Character,
     TrivialCharacterError,
     amplitude,
@@ -137,10 +136,9 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 # --- exact proportions (genus 1) -------------------------------------------
 
 def _player_images(scheme: SchemeInstance):
+    """The curve's group table and every player's element of its group."""
     table = group_structure(scheme.curve)
-    group = AbelianGroup(table.invariant_factors)
-    images = [table.log(pt) for pt in scheme.players]
-    return table, group, images
+    return table, [table.log(pt) for pt in scheme.players]
 
 
 def _exact_estimates(scheme: SchemeInstance, ts: Sequence[int]) -> dict[int, ProportionEstimate]:
@@ -150,7 +148,8 @@ def _exact_estimates(scheme: SchemeInstance, ts: Sequence[int]) -> dict[int, Pro
     for t in ts:
         if t not in (m - 1, m):
             raise UnsupportedOffsetError(f"exact proportion defined for t in {{m-1, m}}, got t={t}, m={m}")
-    table, group, images = _player_images(scheme)
+    table, images = _player_images(scheme)
+    group = table.group
     rows = subset_sum_table(group, images, max(ts))
     out = {}
     for t in sorted(set(ts)):
@@ -288,19 +287,14 @@ def bound_regime2(q: int, genus: int, n: int, t: int, m: int, c: int) -> BoundRe
 
 # --- geometric sanity checks ---------------------------------------------------
 
-def hasse_checks(curve: Curve, table=None) -> HasseReport:
-    """Verify the rational-point window, plus the genus-1 Jacobian window.
-
-    A group table, when supplied, must agree with the enumerated count.
-    """
+def hasse_checks(curve: Curve) -> HasseReport:
+    """Verify the rational-point window, plus the genus-1 Jacobian window."""
     q = curve.field.p
     g = curve.genus
     count = len(enumerate_points(curve))
     # |count - (q + 1)| <= 2 g sqrt(q), checked exactly on integers
     diff = count - (q + 1)
     count_ok = diff * diff <= 4 * g * g * q
-    if table is not None and table.order != count:
-        count_ok = False
     jacobian_ok = None
     if g == 1:
         # (sqrt(q) - 1)^2 <= h <= (sqrt(q) + 1)^2 with h = point count
@@ -314,10 +308,9 @@ def curve_char_sum(curve: EllipticCurve, table, chi: Character, points) -> compl
     """Character sum over curve points through their group coordinates."""
     if chi.is_trivial:
         raise TrivialCharacterError("the trivial character is excluded")
-    group = AbelianGroup(table.invariant_factors)
-    if chi.group != group:
+    if chi.group != table.group:
         raise ValueError("character does not match the curve's point group")
-    return char_sum(group, chi, [table.log(pt) for pt in points])
+    return char_sum(table.group, chi, [table.log(pt) for pt in points])
 
 
 # --- deterministic experiment setup ---------------------------------------------
@@ -414,11 +407,10 @@ def sweep_rows(config: ExperimentConfig) -> list[dict]:
         n, m = scheme.n, scheme.m
         c = len(enumerate_points(curve)) - n
 
-        table = group = images = None
         if g == 1:
-            table, group, images = _player_images(scheme)
-            phi = amplitude(group, images)
-            n_group = table.order
+            table, images = _player_images(scheme)
+            phi = amplitude(table.group, images)
+            n_group = table.group.order
 
         estimates: dict[int, ProportionEstimate] = {}
         ts = [m - off for off in config.offsets]

@@ -1,13 +1,14 @@
-"""Exact arithmetic in prime fields F_p and deterministic linear algebra.
+"""Prime fields F_p and deterministic mod-p linear algebra.
 
-Field elements are immutable values that carry their modulus; mixing
-elements of different fields is a hard error, never a coercion.  Matrices
-are plain int64 arrays with entries reduced mod p, and every routine is
-canonical: one forward elimination loop picks the first nonzero pivot in
-column order, so identical inputs always produce bit-identical outputs.
-That loop delays reduction mod p (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
-2008): a step reduces only the pivot column and the pivot row, and the
-trailing block is reduced only as often as int64 exactness requires.
+A ``FieldElement`` is a value, not an arithmetic type: a canonical residue
+tagged with its field, so the dealing API can reject a value from another
+field (``FieldMismatchError``) instead of coercing it.  All arithmetic runs
+on plain ints and on int64 arrays with entries reduced mod p.  Every matrix
+routine is canonical: one forward elimination loop picks the first nonzero
+pivot in column order, so identical inputs always produce bit-identical
+outputs.  That loop delays reduction mod p (Dumas, Giorgi, Pernet, ACM TOMS
+35(3), 2008): a step reduces only the pivot column and the pivot row, and
+the trailing block is reduced only as often as int64 exactness requires.
 Rank, RREF, kernel, solve and the row-space test all run through it.
 """
 
@@ -23,11 +24,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class FieldMismatchError(Exception):
-    """Operands belong to different prime fields."""
-
-
-class DivisionByZeroError(Exception):
-    """Inversion or division of the zero element."""
+    """A value belongs to a different prime field."""
 
 
 class NoSolutionError(Exception):
@@ -77,15 +74,7 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
 
     def element(self, value: int) -> "FieldElement":
-        return FieldElement(int(value) % self.p, self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
+        return FieldElement(value, self)
 
     def __repr__(self):
         return f"F_{self.p}"
@@ -93,85 +82,14 @@ class PrimeField:
 
 @dataclass(frozen=True)
 class FieldElement:
-    """An element of a prime field, stored as its canonical representative."""
+    """A residue of a prime field, stored as its canonical representative
+    in [0, p) and tagged with the field; it carries no arithmetic."""
 
     value: int
     field: PrimeField
 
     def __post_init__(self):
         object.__setattr__(self, "value", int(self.value) % self.field.p)
-
-    def _operand(self, other):
-        """Lift an int or same-field element to a raw residue."""
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"cannot combine elements of {self.field} and {other.field}"
-                )
-            return other.value
-        if isinstance(other, int):
-            return other % self.field.p
-        return None
-
-    def __add__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement((self.value + v) % self.field.p, self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement((self.value - v) % self.field.p, self.field)
-
-    def __rsub__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement((v - self.value) % self.field.p, self.field)
-
-    def __mul__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(self.value * v % self.field.p, self.field)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.field.p, self.field)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0 and self.value == 0:
-            raise DivisionByZeroError("0 has no inverse")
-        return FieldElement(pow(self.value, n, self.field.p), self.field)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise DivisionByZeroError("0 has no inverse")
-        return FieldElement(pow(self.value, -1, self.field.p), self.field)
-
-    def __truediv__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        if v == 0:
-            raise DivisionByZeroError("division by zero")
-        return FieldElement(self.value * pow(v, -1, self.field.p) % self.field.p, self.field)
-
-    def __rtruediv__(self, other):
-        v = self._operand(other)
-        if v is None:
-            return NotImplemented
-        return FieldElement(v, self.field) / self
-
-    def is_zero(self) -> bool:
-        return self.value == 0
 
     def __int__(self):
         return self.value

@@ -37,7 +37,6 @@ import numpy as np
 from .curves import (
     Curve,
     EllipticCurve,
-    INFINITY,
     MonomialBasis,
     Point,
     eval_basis,
@@ -52,7 +51,7 @@ from .field import (
     _kernel_from_rref,
     _solve,
     in_row_space,
-    kernel_array,
+    kernel_array,  # unused here, but bench/probes.py wraps agss.scheme.kernel_array
     matvec_array,
     rank_array,  # unused here, but bench/probes.py wraps agss.scheme.rank_array
     rref_array,
@@ -84,10 +83,6 @@ class NotQualifiedError(Exception):
 
 class WrongGenusError(Exception):
     """A genus-1-only operation was called on another curve."""
-
-
-class QNotIdentityError(Exception):
-    """The group-law oracle requires the pole point to be the group identity."""
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,6 @@ class SchemeInstance:
     """
 
     curve: Curve
-    q_point: Point
     p0: Point
     players: tuple[Point, ...]
     m: int
@@ -199,11 +193,9 @@ class SchemeInstance:
     def _clx_data(self):
         if not isinstance(self.curve, EllipticCurve):
             raise WrongGenusError("group-law oracle requires an elliptic curve")
-        if not is_infinity(self.q_point):
-            raise QNotIdentityError("pole point must be the group identity")
         table = group_structure(self.curve)
         residues = np.array([table.log(pt) for pt in self.players], dtype=np.int64)
-        return table, residues, table.log(self.p0)
+        return table.group, residues, table.log(self.p0)
 
 
 def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> SchemeInstance:
@@ -237,7 +229,6 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
     omega.flags.writeable = False
     return SchemeInstance(
         curve=curve,
-        q_point=INFINITY,
         p0=p0,
         players=players,
         m=m,
@@ -297,6 +288,19 @@ def _complement(scheme: SchemeInstance, subset: Sequence[int]) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
+def _p0_witness(scheme: SchemeInstance, a_idx) -> np.ndarray:
+    """Coefficients c of a function vanishing at the players in A with
+    c(P0) = 1: the solution of [player_rows[A]; p0_row] c = e_last.
+
+    Raises NoSolutionError when every function vanishing on A also vanishes
+    at P0, i.e. when the complement of A is not qualified.
+    """
+    rows = np.vstack([scheme.player_rows[a_idx], scheme.p0_row[None, :]])
+    rhs = np.zeros(len(a_idx) + 1, dtype=np.int64)
+    rhs[-1] = 1
+    return solve_array(rows, rhs, scheme.field.p)
+
+
 def reconstruct(scheme: SchemeInstance, subset: Sequence[int], shares: Sequence) -> FieldElement:
     """Recover the secret from the shares of the players in ``subset``.
 
@@ -308,12 +312,8 @@ def reconstruct(scheme: SchemeInstance, subset: Sequence[int], shares: Sequence)
     if len(shares) != len(s_idx):
         raise ValueError("one share per subset player is required")
     p = scheme.field.p
-    a_idx = _complement(scheme, s_idx)
-    rows = np.vstack([scheme.player_rows[a_idx], scheme.p0_row[None, :]])
-    rhs = np.zeros(len(a_idx) + 1, dtype=np.int64)
-    rhs[-1] = 1
     try:
-        coeff = solve_array(rows, rhs, p)
+        coeff = _p0_witness(scheme, _complement(scheme, s_idx))
     except NoSolutionError:
         raise NotQualifiedError(f"subset {list(s_idx)} cannot reconstruct the secret") from None
     weights = matvec_array(scheme.player_rows[list(s_idx)], coeff, p)
@@ -366,23 +366,18 @@ def _dual_qualified(scheme: SchemeInstance, a_idx) -> bool:
 
 
 def _clx_qualified(scheme: SchemeInstance, a_idx) -> bool:
-    table, residues, p0_res = scheme._clx_data
+    group, residues, p0_log = scheme._clx_data
     t = len(a_idx)
     m = scheme.m
     if t > m:
         return False
     if t <= m - 2:
         return True
-    d1, d2 = table.d1, table.d2
-    if t:
-        s = residues[a_idx].sum(axis=0)
-        u, v = int(s[0]) % d1, int(s[1]) % d2
-    else:
-        u, v = 0, 0
+    total = tuple(int(v) for v in residues[a_idx].sum(axis=0) % group.factors)
     if t == m:
-        return u == 0 and v == 0
+        return total == group.identity
     # t == m - 1: qualified iff the forced extra zero B = -(sum of A) avoids P0
-    return (-u % d1, -v % d2) != p0_res
+    return group.neg(total) != p0_log
 
 
 _ORACLES = {"kernel": _kernel_qualified, "dual": _dual_qualified, "clx": _clx_qualified}
@@ -397,15 +392,12 @@ def _decide(scheme: SchemeInstance, a_idx, oracle: str) -> bool:
 
 
 def is_qualified_kernel(scheme: SchemeInstance, subset: Sequence[int]) -> QualifiedVerdict:
-    """Function-space oracle; returns a witness function when qualified."""
+    """Function-space oracle; when qualified, the witness is the function
+    that vanishes on the complement and equals 1 at P0."""
     a_idx = _complement(scheme, _check_subset(scheme, subset))
     if not _kernel_qualified(scheme, a_idx):
         return QualifiedVerdict(False)
-    p = scheme.field.p
-    for vec in kernel_array(scheme.player_rows[a_idx], p):
-        if int((scheme.p0_row * vec % p).sum() % p):
-            return QualifiedVerdict(True, vec)
-    raise RuntimeError("rank test and kernel search disagree")  # unreachable
+    return QualifiedVerdict(True, _p0_witness(scheme, a_idx))
 
 
 def is_qualified_dual(scheme: SchemeInstance, subset: Sequence[int]) -> QualifiedVerdict:

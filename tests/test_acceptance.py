@@ -294,9 +294,9 @@ def test_criterion_5_exact_elliptic_proportions(sweep3_rows):
     for q in (101, 211, 401):
         curve = find_elliptic_curve(q)
         sch = standard_scheme(curve, 0.5)
-        table, group, images = _player_images(sch)
-        phi = amplitude(group, images)
-        n_group = table.order
+        table, images = _player_images(sch)
+        phi = amplitude(table.group, images)
+        n_group = table.group.order
         n, m = sch.n, sch.m
         row_m, row_m1 = by_q[q][0], by_q[q][1]
 
@@ -418,7 +418,7 @@ def test_criterion_7_geometry_bounds():
             failures.append(f"hasse window fails on {curve!r}")
     for curve in elliptic:
         table = group_structure(curve)
-        group = AbelianGroup(table.invariant_factors)
+        group = table.group
         full = [table.log(pt) for pt in enumerate_points(curve)]
         if amplitude(group, full) > 1e-6:
             failures.append(f"nonzero full-curve character sum on {curve!r}")

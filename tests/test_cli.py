@@ -113,6 +113,23 @@ def test_scheme_qualify_genus2_two_verdicts(capsys):
     assert code == 2
 
 
+def test_scheme_qualify_oracle_disagreement_exits_5(capsys, monkeypatch):
+    import agss.cli
+    from agss.scheme import QualifiedVerdict, is_qualified_dual
+
+    def lying_dual(scheme, subset):
+        return QualifiedVerdict(not is_qualified_dual(scheme, subset).qualified)
+
+    monkeypatch.setattr(agss.cli, "is_qualified_dual", lying_dual)
+    code, out, err = run(
+        capsys, "scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5",
+        "--action", "qualify", "--subset", "1,2",
+    )
+    assert code == 5
+    assert "kernel=Unqualified" in out and "dual=Qualified" in out
+    assert "oracle disagreement" in err
+
+
 def test_scheme_p0_override(capsys):
     # (0, 1) lies on y^2 = x^3 + x + 1 over F_13
     code, out, _ = run(
@@ -245,6 +262,18 @@ def test_experiment_genus2_invalid_field_size_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "experiment", "--config", cfg, "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert "at least 5" in err
+
+
+def test_experiment_degree_out_of_range_exits_2(tmp_path, capsys):
+    # m = round(0.01 * 16) = 0 violates 2g - 2 < m
+    out = tmp_path / "x.csv"
+    code, _, err = run(
+        capsys, "experiment", "--curve", "ec:p=13,a=1,b=1", "--delta", "0.01",
+        "--seed", "1", "--out", str(out),
+    )
+    assert code == 2
+    assert "2g-2 < m" in err
+    assert not out.exists()
 
 
 def test_experiment_unknown_config_key(tmp_path, capsys):

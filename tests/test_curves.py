@@ -146,8 +146,8 @@ def test_group_law_properties_random_triples():
 def test_group_structure_cyclic():
     e = elliptic_curve(5, 1, 1)
     table = group_structure(e)
-    assert table.invariant_factors == (1, 9)
-    assert table.order == 9
+    assert table.group.factors == (1, 9)
+    assert table.group.order == 9
     assert table.log(INFINITY) == (0, 0)
 
 
@@ -157,12 +157,12 @@ def test_group_structure_homomorphism_and_bijection():
         table = group_structure(e)
         pts = enumerate_points(e)
         n = len(pts)
-        assert table.d1 * table.d2 == n
-        assert table.d2 % table.d1 == 0
-        assert (e.field.p - 1) % table.d1 == 0
+        d1, d2 = table.group.factors
+        assert d1 * d2 == n
+        assert d2 % d1 == 0
+        assert (e.field.p - 1) % d1 == 0
         assert len({table.log(pt) for pt in pts}) == n  # bijective
         rng = np.random.default_rng(5)
-        d1, d2 = table.invariant_factors
         for _ in range(100):
             a, b = (pts[int(i)] for i in rng.integers(0, n, size=2))
             ua, va = table.log(a)
@@ -174,7 +174,7 @@ def test_group_structure_noncyclic():
     # y^2 = x^3 + 4x over F_5 has group Z_2 x Z_4
     e = elliptic_curve(5, 4, 0)
     table = group_structure(e)
-    assert table.invariant_factors == (2, 4)
+    assert table.group.factors == (2, 4)
     pts = enumerate_points(e)
     assert len({table.log(pt) for pt in pts}) == 8
     for a in pts:
@@ -195,7 +195,7 @@ def test_group_structure_prime_order_is_cyclic():
             continue
         n = len(enumerate_points(e))
         if is_prime(n):
-            assert group_structure(e).invariant_factors == (1, n)
+            assert group_structure(e).group.factors == (1, n)
             return
     pytest.fail("no prime-order curve found in the search range")
 

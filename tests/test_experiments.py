@@ -3,7 +3,7 @@ import math
 import pytest
 
 from agss.curves import affine_points, elliptic_curve, enumerate_points, group_structure, hyperelliptic_curve
-from agss.groups import AbelianGroup, TrivialCharacterError, amplitude
+from agss.groups import TrivialCharacterError, amplitude
 from agss.scheme import WrongGenusError, enumerate_access
 from agss.experiments import (
     ExperimentConfig,
@@ -132,10 +132,10 @@ def test_bound_theorem3_examples():
 
 def test_bound_theorem3_dominates_exact_proportion():
     sch = small_elliptic_scheme()
-    table, group, images = _player_images(sch)
-    phi = amplitude(group, images)
+    table, images = _player_images(sch)
+    phi = amplitude(table.group, images)
     est = exact_proportion_elliptic(sch, sch.m)
-    rep = bound_theorem3(sch.n, sch.m, table.order, phi)
+    rep = bound_theorem3(sch.n, sch.m, table.group.order, phi)
     assert est.p_hat <= rep.total
 
 
@@ -180,7 +180,7 @@ def test_hasse_checks():
 def test_curve_char_sum():
     curve = elliptic_curve(13, 1, 1)
     table = group_structure(curve)
-    group = AbelianGroup(table.invariant_factors)
+    group = table.group
     pts = enumerate_points(curve)
     chi = next(c for c in group.characters() if not c.is_trivial)
     # full point set: orthogonality

@@ -196,8 +196,8 @@ def test_subset_sum_table_matches_reference_dp(factors):
 @pytest.mark.parametrize("q, moduli", [(101, 2), (211, 4)])
 def test_subset_sum_table_matches_reference_on_sweep_points(q, moduli):
     scheme = standard_scheme(find_elliptic_curve(q), 0.5)
-    _, group, images = _player_images(scheme)
-    rows = assert_table_matches_reference(group, images, scheme.m)
+    table, images = _player_images(scheme)
+    rows = assert_table_matches_reference(table.group, images, scheme.m)
     assert len(rows.moduli) == moduli
 
 

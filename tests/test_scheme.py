@@ -16,7 +16,7 @@ from agss.curves import (
 )
 from agss import field
 from agss.field import FieldMismatchError, PrimeField, in_row_space, matvec_array, rank_array
-from agss.groups import InstanceTooLargeError, subset_sum_count, AbelianGroup
+from agss.groups import InstanceTooLargeError, subset_sum_count
 from agss.curves import group_structure
 from agss.experiments import find_hyperelliptic_curve, standard_scheme
 from agss.scheme import (
@@ -304,7 +304,7 @@ def test_clx_specific_cases():
     curve = sch.curve
     table = group_structure(curve)
     m, n = sch.m, sch.n
-    d1, d2 = table.invariant_factors
+    d1, d2 = table.group.factors
 
     def group_sum(idx):
         u = sum(table.log(sch.players[i])[0] for i in idx) % d1
@@ -403,7 +403,7 @@ def test_enumerate_access():
         assert ac.total == math.comb(sch.n, sch.m)
         # cross-module: size-m complements qualified iff they sum to the identity
         table = group_structure(sch.curve)
-        group = AbelianGroup(table.invariant_factors)
+        group = table.group
         images = [table.log(pt) for pt in sch.players]
         assert ac.qualified == subset_sum_count(group, images, sch.m, group.identity)
 
