@@ -1,11 +1,15 @@
 """Gray-zone experiments: qualified-subset proportions and theoretical bounds.
 
 For elliptic schemes the proportion of qualified size-t complements is
-computed *exactly* by the subset-sum dynamic program over the point group
-(t = m maps to counting complements summing to the identity, t = m - 1 to
-the complement of those summing to the inverse of P0).  For higher genus
-there is no group table, so proportions are estimated by seeded Monte Carlo
-against a selectable qualification oracle, with Wilson 95% intervals.
+computed *exactly* from subset-sum counts over the point group G (t = m
+maps to counting complements summing to the identity, t = m - 1 to the
+complement of those summing to the inverse of P0).  The players are G minus
+a few points X (the identity and P0 for a standard scheme), so the counts
+come from the closed form for the whole group corrected for X
+(``groups.cofinite_subset_sum_counts``), not from a dynamic program over the
+players.  For higher genus there is no group table, so proportions are
+estimated by seeded Monte Carlo against a selectable qualification oracle,
+with Wilson 95% intervals.
 
 Bound evaluation mirrors the two asymptotic statements: the genus-1 bound
 1/N + C(M, t)/C(n, t), and the genus >= 2 expression combining the Weil
@@ -36,7 +40,7 @@ from .curves import (
     elliptic_curve,
     enumerate_points,
     format_curve_spec,
-    group_structure,
+    group_structure,  # unused here, but bench/probes.py wraps agss.experiments.group_structure
     hyperelliptic_curve,
     parse_curve_spec,
 )
@@ -45,9 +49,10 @@ from .groups import (
     TrivialCharacterError,
     amplitude,
     char_sum,
+    cofinite_subset_sum_counts,
     li_wan_m,
     log_generalized_binomial,
-    subset_sum_table,
+    subset_sum_table,  # unused here, but bench/probes.py wraps agss.experiments.subset_sum_table
 )
 from .scheme import (
     ORACLE_NAMES,
@@ -135,12 +140,6 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 
 # --- exact proportions (genus 1) -------------------------------------------
 
-def _player_images(scheme: SchemeInstance):
-    """The curve's group table and every player's element of its group."""
-    table = group_structure(scheme.curve)
-    return table, [table.log(pt) for pt in scheme.players]
-
-
 def _exact_estimates(scheme: SchemeInstance, ts: Sequence[int]) -> dict[int, ProportionEstimate]:
     if not isinstance(scheme.curve, EllipticCurve):
         raise WrongGenusError("exact proportions require an elliptic scheme")
@@ -148,18 +147,19 @@ def _exact_estimates(scheme: SchemeInstance, ts: Sequence[int]) -> dict[int, Pro
     for t in ts:
         if t not in (m - 1, m):
             raise UnsupportedOffsetError(f"exact proportion defined for t in {{m-1, m}}, got t={t}, m={m}")
-    table, images = _player_images(scheme)
+    table, images = scheme.player_images
     group = table.group
-    rows = subset_sum_table(group, images, max(ts))
+    players = set(map(tuple, images.tolist()))
+    excluded = [a for a in group.elements() if a not in players]
+    # t = m counts complements summing to the identity; at t = m - 1 the
+    # unqualified complements are exactly those summing to -P0
+    targets = {m: group.identity, m - 1: group.neg(table.log(scheme.p0))}
+    ts = sorted(set(ts))
+    counts = cofinite_subset_sum_counts(group, excluded, [(t, targets[t]) for t in ts])
     out = {}
-    for t in sorted(set(ts)):
+    for t, count in zip(ts, counts):
         total = math.comb(scheme.n, t)
-        if t == m:
-            qualified = rows[t][group.index(group.identity)]
-        else:
-            # t = m - 1: unqualified complements are exactly those summing to -P0
-            bad = rows[t][group.index(group.neg(table.log(scheme.p0)))]
-            qualified = total - bad
+        qualified = count if t == m else total - count
         p_hat = float(Fraction(qualified, total))
         out[t] = ProportionEstimate(qualified, total, p_hat, p_hat, p_hat, True)
     return out
@@ -408,7 +408,7 @@ def sweep_rows(config: ExperimentConfig) -> list[dict]:
         c = len(enumerate_points(curve)) - n
 
         if g == 1:
-            table, images = _player_images(scheme)
+            table, images = scheme.player_images
             phi = amplitude(table.group, images)
             n_group = table.group.order
 

@@ -2,19 +2,25 @@
 
 Covers the combinatorial core of the project: additive characters and their
 partial sums over a point set, the amplitude (the largest nontrivial
-character-sum modulus), exact dynamic-programming counts N(t, B, P) of the
-t-subsets of P summing to B, permutation cycle-type generating functions,
-and the resulting deviation bound
+character-sum modulus), exact counts N(t, B, P) of the t-subsets of P
+summing to B, permutation cycle-type generating functions, and the
+resulting deviation bound
 
     |N(t, B, P) - C(n, t) / N|  <=  C(M, t)
 
 with M = max{Phi + t - 1, (n + Phi)/2, (n - Phi)/3 + Phi + t - 1}, where
-Phi is the amplitude of P.  Counts are exact: the DP runs in numpy on uint64
-residues modulo 2^64 and a few primes just below 2^62, enough that their
-product exceeds C(n, t), and a row of Python ints is rebuilt by the Chinese
-remainder theorem only when it is read.  Memory is one (t+1) x N word table
-per modulus, not a table of big integers.  Only character sums live in
-floating point.
+Phi is the amplitude of P.
+
+Two exact counters.  ``subset_sum_table`` takes any point set: a dynamic
+program in numpy on uint64 residues modulo 2^64 and a few primes just below
+2^62, enough that their product exceeds C(n, t), with a row of Python ints
+rebuilt by the Chinese remainder theorem only when it is read; memory is
+one (t+1) x N word table per modulus.  ``cofinite_subset_sum_counts`` takes
+a point set G \\ X that is the whole group minus a few points X: the
+whole-group count has a closed form in binomials and Moebius sums, and the
+excluded points enter through (1 + xz)^(-1), whose coefficients are counts
+of multisets of X; its work is about |X| * t * N cells.  Only character
+sums live in floating point.
 """
 
 from __future__ import annotations
@@ -53,7 +59,14 @@ class InstanceTooLargeError(Exception):
 
 
 class BudgetExceededError(Exception):
-    """The dynamic-programming budget n*t*N <= 2^31 would be exceeded."""
+    """A count would take more than 2^31 cells of work (n*t*N for the DP)."""
+
+
+class ClosedFormError(ArithmeticError):
+    """The whole-group closed form left a remainder on division by |G|.
+
+    The division is exact by theorem, so this signals an implementation bug.
+    """
 
 
 GroupElement = tuple[int, ...]
@@ -93,13 +106,14 @@ class AbelianGroup:
 
     def contains(self, a: GroupElement) -> bool:
         return len(a) == len(self.factors) and all(
-            isinstance(v, int) and 0 <= v < d for v, d in zip(a, self.factors)
+            isinstance(v, (int, np.integer)) and 0 <= v < d for v, d in zip(a, self.factors)
         )
 
     def check(self, a: GroupElement) -> GroupElement:
+        """The element as a tuple of Python ints; a numpy integer row is accepted."""
         if not self.contains(tuple(a)):
             raise ValueError(f"{a!r} is not an element of {self!r}")
-        return tuple(a)
+        return tuple(int(v) for v in a)
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.factors))
@@ -207,11 +221,11 @@ _WORD_MODULUS = 2**64
 _PRIME_CEILING = 2**62
 
 
-def _moduli(bound: int) -> tuple[int, ...]:
-    """2^64, then the primes just below 2^62, until the product exceeds bound."""
+def _moduli(bound: int, ceiling: int = _PRIME_CEILING) -> tuple[int, ...]:
+    """2^64, then the primes just below ceiling, until the product exceeds bound."""
     moduli = [_WORD_MODULUS]
     product = _WORD_MODULUS
-    candidate = _PRIME_CEILING - 1
+    candidate = (ceiling - 2) | 1  # the largest odd number below ceiling
     while product <= bound:
         if is_prime(candidate):
             moduli.append(candidate)
@@ -240,6 +254,8 @@ class SubsetSumRows(Sequence):
         return len(self._rows)
 
     def _crt(self, s: int, cols) -> tuple[int, ...]:
+        if len(self._tables) == 1:  # below 2^64 the residues are the counts
+            return tuple(self._tables[0][s, cols].tolist())
         residues = zip(*(tab[s, cols].tolist() for tab in self._tables))
         return tuple(sum(map(operator.mul, r, self._coeffs)) % self._total for r in residues)
 
@@ -252,6 +268,15 @@ class SubsetSumRows(Sequence):
 
     def cell(self, s: int, i: int) -> int:
         return self._crt(operator.index(s), [operator.index(i)])[0]
+
+
+def _digit_table(group: AbelianGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every element's coordinates by index (an N x k array), the factors and
+    the strides; ((digits - a) % factors) @ strides is the index of i - a."""
+    idx = np.arange(group.order, dtype=np.int64)
+    strides = np.array(group._strides, dtype=np.int64)
+    factors = np.array(group.factors, dtype=np.int64)
+    return (idx[:, None] // strides[None, :]) % factors[None, :], factors, strides
 
 
 def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int) -> SubsetSumRows:
@@ -279,11 +304,7 @@ def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int
     moduli = _moduli(bound)
     assert math.prod(moduli) > bound
 
-    idx = np.arange(size, dtype=np.int64)
-    strides = np.array(group._strides, dtype=np.int64)
-    factors = np.array(group.factors, dtype=np.int64)
-    digits = (idx[:, None] // strides[None, :]) % factors[None, :]
-
+    digits, factors, strides = _digit_table(group)
     tables = [np.zeros((t + 1, size), dtype=np.uint64) for _ in moduli]
     for tab in tables:
         tab[0, 0] = 1  # the empty subset sums to the identity (index 0)
@@ -307,6 +328,154 @@ def subset_sum_count(group: AbelianGroup, points: Sequence[GroupElement], t: int
     """Exact count of t-subsets of P whose group sum equals target."""
     rows = subset_sum_table(group, points, t)
     return rows.cell(t, group.index(group.check(target)))
+
+
+# --- counts on the whole group minus a few points -------------------------------
+
+def _mobius(n: int) -> int:
+    """The Moebius function mu(n), by trial division."""
+    result = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            result = -result
+        p += 1
+    return -result if n > 1 else result
+
+
+def _divisibility_classes(group: AbelianGroup, digits: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The divisors s of exp G in ascending order, and for each element b the
+    position of the largest s with b in sG (b in sG iff gcd(s, d_i) | b_i).
+
+    The s with b in sG are exactly the divisors of that largest one, so the
+    position determines every membership [b in sG].
+    """
+    e = group.factors[-1]
+    divisors = [s for s in range(1, e + 1) if e % s == 0]
+    classes = np.zeros(group.order, dtype=np.int64)
+    for pos, s in enumerate(divisors):
+        gcds = np.array([math.gcd(s, d) for d in group.factors], dtype=np.int64)
+        classes[(digits % gcds == 0).all(axis=1)] = pos  # ascending, so the largest s wins
+    return divisors, classes
+
+
+def _whole_group_counts(group: AbelianGroup, divisors: list[int], t: int) -> list[list[int]]:
+    """F[k][c], k = 0..t: the number of k-subsets of G summing to an element b
+    of class c, i.e. whose largest s with b in sG is divisors[c].
+
+        F(k, b) = (1/N) sum_{d | gcd(k, e)} (-1)^(k + k/d) C(N/d, k/d) Phi_d(b)
+
+    with Phi_d(b) = sum_{s | d} mu(d/s) |G/sG| [b in sG], the sum of the
+    characters of order d at b, and |G/sG| = prod_i gcd(s, d_i).  It holds
+    because prod_{g in G} (1 + chi(g) z) = (1 - (-z)^d)^(N/d) for a character
+    chi of order d.
+    """
+    size = group.order
+    quotient = {s: math.prod(math.gcd(s, d) for d in group.factors) for s in divisors}
+    phi = {}
+    for d in divisors:
+        terms = [(s, _mobius(d // s) * quotient[s]) for s in divisors if d % s == 0]
+        phi[d] = [sum(w for s, w in terms if top % s == 0) for top in divisors]
+    table = []
+    for k in range(t + 1):
+        acc = [0] * len(divisors)
+        for d in divisors:
+            if k % d == 0:
+                coeff = math.comb(size // d, k // d)
+                if (k + k // d) % 2:
+                    coeff = -coeff
+                acc = [a + coeff * v for a, v in zip(acc, phi[d])]
+        row = []
+        for a in acc:
+            count, rem = divmod(a, size)
+            if rem:
+                raise ClosedFormError(f"whole-group count at k={k} leaves remainder {rem} mod {size}")
+            row.append(count)
+        table.append(row)
+    return table
+
+
+def cofinite_subset_sum_counts(
+    group: AbelianGroup, excluded: Sequence[GroupElement], cells: Sequence[tuple[int, GroupElement]]
+) -> list[int]:
+    """Exact counts of the t-subsets of G \\ X summing to b, one per cell (t, b).
+
+    X = ``excluded``.  In the group algebra,
+    prod_{g not in X} (1 + gz) = prod_{g in G} (1 + gz) * prod_{x in X} (1 + xz)^(-1),
+    which gives
+
+        N(t, b) = sum_{j=0..t} (-1)^j sum_c H_j(c) F(t - j, b - c),
+
+    where H_j(c) counts the size-j multisets of X summing to c and F is the
+    whole-group closed form of ``_whole_group_counts``.  F depends on its
+    element only through a divisibility class, so each row H_j is summed
+    per class of b - c in numpy and the classes are combined with exact
+    Python ints.  H runs on uint64 residues like the DP, with primes below
+    2^64 / N so that a class sum cannot wrap.  All cells share H.  Work is
+    (|X| + cells) * t * N cells for the largest t; memory is |X| + 1 rows
+    of N words per modulus.
+    """
+    xs = _check_point_set(group, excluded)
+    size = group.order
+    n = size - len(xs)
+    ts, targets = [], []
+    for t, b in cells:
+        if not 0 <= t <= n:
+            raise ValueError(f"subset size t={t} out of range 0..{n}")
+        ts.append(t)
+        targets.append(group.index(group.check(b)))
+    if not ts:
+        return []
+    t_max = max(ts)
+    work = (len(xs) + len(ts)) * t_max * size
+    if work > DP_BUDGET:
+        raise BudgetExceededError(f"(|X| + cells)*t*N = {work} exceeds the 2^31 budget")
+
+    digits, factors, strides = _digit_table(group)
+    divisors, classes = _divisibility_classes(group, digits)
+    k = len(divisors)
+    # per cell, the elements c sorted by the class of b - c (every class is
+    # nonempty), laid end to end so that one reduceat sums a row for all cells
+    order = np.empty((len(targets), size), dtype=np.int64)
+    starts = np.empty((len(targets), k), dtype=np.int64)
+    for cell, b in enumerate(targets):
+        target_classes = classes[((digits[b] - digits) % factors) @ strides]
+        order[cell] = np.argsort(target_classes, kind="stable")
+        starts[cell] = np.searchsorted(target_classes[order[cell]], np.arange(k)) + cell * size
+    order, starts = order.ravel(), starts.ravel()
+    shifts = [((digits - np.array(x, dtype=np.int64)) % factors) @ strides for x in xs]
+
+    moduli = _moduli(math.comb(len(xs) + t_max, t_max), min(_PRIME_CEILING, _WORD_MODULUS // size))
+    tables = []
+    for modulus in moduli:
+        # level[i] holds H_j over the first i points of X; over none it is [j = 0]
+        level = np.zeros((len(xs) + 1, size), dtype=np.uint64)
+        level[:, 0] = 1
+        sums = np.empty((t_max + 1, len(starts)), dtype=np.uint64)
+        sums[0] = np.add.reduceat(level[-1][order], starts)
+        level[0, 0] = 0
+        for j in range(1, t_max + 1):
+            for i, src in enumerate(shifts, start=1):
+                # level[i] still holds row j - 1, so x_i may repeat
+                np.add(level[i - 1], level[i][src], out=level[i])
+                if modulus != _WORD_MODULUS:
+                    np.minimum(level[i], level[i] - np.uint64(modulus), out=level[i])
+            sums[j] = np.add.reduceat(level[-1][order], starts)
+        tables.append(sums)
+    class_sums = SubsetSumRows(moduli, tables)  # CRT takes any representative
+
+    whole = _whole_group_counts(group, divisors, t_max)
+    counts = []
+    for cell, t in enumerate(ts):
+        total = 0
+        for j in range(t + 1):
+            term = sum(map(operator.mul, whole[t - j], class_sums[j][cell * k:(cell + 1) * k]))
+            total += -term if j % 2 else term
+        counts.append(total)
+    return counts
 
 
 # --- cycle-type combinatorics ---------------------------------------------

@@ -37,6 +37,7 @@ import numpy as np
 from .curves import (
     Curve,
     EllipticCurve,
+    GroupTable,
     MonomialBasis,
     Point,
     eval_basis,
@@ -190,12 +191,13 @@ class SchemeInstance:
         return is_pivot, slot, pivots
 
     @cached_property
-    def _clx_data(self):
+    def player_images(self) -> tuple[GroupTable, np.ndarray]:
+        """The curve's group table and, as row i of an n x 2 int64 array,
+        player i's element of its point group (elliptic schemes only)."""
         if not isinstance(self.curve, EllipticCurve):
-            raise WrongGenusError("group-law oracle requires an elliptic curve")
+            raise WrongGenusError("the point group exists only for an elliptic scheme")
         table = group_structure(self.curve)
-        residues = np.array([table.log(pt) for pt in self.players], dtype=np.int64)
-        return table.group, residues, table.log(self.p0)
+        return table, np.array([table.log(pt) for pt in self.players], dtype=np.int64)
 
 
 def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> SchemeInstance:
@@ -366,18 +368,19 @@ def _dual_qualified(scheme: SchemeInstance, a_idx) -> bool:
 
 
 def _clx_qualified(scheme: SchemeInstance, a_idx) -> bool:
-    group, residues, p0_log = scheme._clx_data
+    table, images = scheme.player_images
+    group = table.group
     t = len(a_idx)
     m = scheme.m
     if t > m:
         return False
     if t <= m - 2:
         return True
-    total = tuple(int(v) for v in residues[a_idx].sum(axis=0) % group.factors)
+    total = tuple(int(v) for v in images[a_idx].sum(axis=0) % group.factors)
     if t == m:
         return total == group.identity
     # t == m - 1: qualified iff the forced extra zero B = -(sum of A) avoids P0
-    return group.neg(total) != p0_log
+    return group.neg(total) != table.log(scheme.p0)
 
 
 _ORACLES = {"kernel": _kernel_qualified, "dual": _dual_qualified, "clx": _clx_qualified}

@@ -31,7 +31,6 @@ from agss.experiments import (
     standard_scheme,
     sweep_csv,
     sweep_rows,
-    _player_images,
 )
 from agss.field import matvec_array
 from agss.groups import (
@@ -294,7 +293,7 @@ def test_criterion_5_exact_elliptic_proportions(sweep3_rows):
     for q in (101, 211, 401):
         curve = find_elliptic_curve(q)
         sch = standard_scheme(curve, 0.5)
-        table, images = _player_images(sch)
+        table, images = sch.player_images
         phi = amplitude(table.group, images)
         n_group = table.group.order
         n, m = sch.n, sch.m

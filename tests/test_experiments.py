@@ -3,13 +3,20 @@ import math
 import pytest
 
 from agss.curves import affine_points, elliptic_curve, enumerate_points, group_structure, hyperelliptic_curve
-from agss.groups import TrivialCharacterError, amplitude
+from agss.groups import (
+    BudgetExceededError,
+    TrivialCharacterError,
+    amplitude,
+    cofinite_subset_sum_counts,
+    li_wan_m,
+    log_generalized_binomial,
+    subset_sum_table,
+)
 from agss.scheme import WrongGenusError, enumerate_access
 from agss.experiments import (
     ExperimentConfig,
     RegimeMismatchError,
     UnsupportedOffsetError,
-    _player_images,
     bound_regime2,
     bound_theorem3,
     bound_theorem4,
@@ -132,11 +139,34 @@ def test_bound_theorem3_examples():
 
 def test_bound_theorem3_dominates_exact_proportion():
     sch = small_elliptic_scheme()
-    table, images = _player_images(sch)
+    table, images = sch.player_images
     phi = amplitude(table.group, images)
     est = exact_proportion_elliptic(sch, sch.m)
     rep = bound_theorem3(sch.n, sch.m, table.group.order, phi)
     assert est.p_hat <= rep.total
+
+
+def test_exact_counts_past_the_dp_budget_at_q2003():
+    # the sweep's two cells at q = 2003, on the group alone (no scheme_build)
+    curve = find_elliptic_curve(2003)
+    table = group_structure(curve)
+    group = table.group
+    assert group.factors == (2, 1004)
+    p0, *players = affine_points(curve)
+    images = [table.log(pt) for pt in players]
+    n, size = len(images), group.order
+    m = _round_half_down(0.5 * n)
+    with pytest.raises(BudgetExceededError):
+        subset_sum_table(group, images, m)
+    cells = [(m, group.identity), (m - 1, group.neg(table.log(p0)))]
+    counts = cofinite_subset_sum_counts(group, [group.identity, table.log(p0)], cells)
+    phi = amplitude(group, images)
+    for (t, _), count in zip(cells, counts):
+        # |N - C(n, t)/N| <= C(M, t), compared in log space: both sides overflow a float
+        deviation = abs(size * count - math.comb(n, t))
+        bound = log_generalized_binomial(li_wan_m(n, t, phi), t)
+        assert deviation == 0 or math.log(deviation) - math.log(size) <= bound
+    assert counts[0] / math.comb(n, m) <= bound_theorem3(n, m, size, phi).total
 
 
 def test_bound_theorem4_examples():

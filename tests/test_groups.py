@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agss.experiments import _player_images, find_elliptic_curve, standard_scheme
+from agss.experiments import find_elliptic_curve, standard_scheme
 from agss.groups import (
     AbelianGroup,
     BudgetExceededError,
@@ -15,6 +15,7 @@ from agss.groups import (
     TrivialGroupError,
     amplitude,
     char_sum,
+    cofinite_subset_sum_counts,
     cycle_gen_function,
     cycle_type_count,
     cycle_types,
@@ -196,7 +197,7 @@ def test_subset_sum_table_matches_reference_dp(factors):
 @pytest.mark.parametrize("q, moduli", [(101, 2), (211, 4)])
 def test_subset_sum_table_matches_reference_on_sweep_points(q, moduli):
     scheme = standard_scheme(find_elliptic_curve(q), 0.5)
-    table, images = _player_images(scheme)
+    table, images = scheme.player_images
     rows = assert_table_matches_reference(table.group, images, scheme.m)
     assert len(rows.moduli) == moduli
 
@@ -237,6 +238,59 @@ def test_subset_sum_budget():
     pts = [(i,) for i in range(2000)]
     with pytest.raises(BudgetExceededError):
         subset_sum_table(g, pts, 1500)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_cofinite_count_matches_reference_dp(data):
+    g = AbelianGroup(data.draw(st.sampled_from([(1,), (7,), (2, 2), (2, 6), (4, 8), (60,)])))
+    els = list(g.elements())
+    excluded = data.draw(st.one_of(
+        st.just([]),
+        st.just([g.identity]),
+        st.lists(st.sampled_from(els), unique=True, max_size=g.order - 1),
+    ))
+    pts = [a for a in els if a not in excluded]
+    n = len(pts)
+    ref = reference_subset_sum_table(g, pts, n)
+    cells = [(t, b) for t in range(n + 1) for b in els]
+    counts = cofinite_subset_sum_counts(g, excluded, cells)
+    assert counts == [v for row in ref for v in row]
+
+
+def test_cofinite_count_sums_to_the_binomial_on_a_sweep_group():
+    scheme = standard_scheme(find_elliptic_curve(101), 0.5)
+    table, _ = scheme.player_images
+    g = table.group
+    excluded = [g.identity, table.log(scheme.p0)]
+    for t in (scheme.m - 1, scheme.m):
+        counts = cofinite_subset_sum_counts(g, excluded, [(t, b) for b in g.elements()])
+        assert sum(counts) == math.comb(scheme.n, t)
+
+
+def test_cofinite_count_with_multiset_counts_past_int64():
+    g = AbelianGroup((200,))
+    rng = np.random.default_rng(200)
+    removed = set(rng.choice(g.order, size=60, replace=False).tolist())
+    excluded = [(i,) for i in sorted(removed)]
+    pts = [(i,) for i in range(g.order) if i not in removed]
+    t = 70
+    # there are C(60 + 70 - 1, 70) size-70 multisets of the excluded points
+    assert math.comb(len(excluded) + t - 1, t) > 2**63
+    rows = subset_sum_table(g, pts, t)
+    counts = cofinite_subset_sum_counts(g, excluded, [(t, (i,)) for i in range(g.order)])
+    assert counts == list(rows[t])
+
+
+def test_cofinite_count_budget_is_checked_before_allocation():
+    # an N-element index array of this group cannot even be allocated, so
+    # any allocation ahead of the budget check raises something else
+    g = AbelianGroup((2**62,))
+    with pytest.raises(BudgetExceededError):
+        cofinite_subset_sum_counts(g, [(0,), (1,)], [(2**20, (0,))])
+    with pytest.raises(ValueError):
+        cofinite_subset_sum_counts(Z5, [(0,)], [(5, (0,))])  # t > n = 4
+    assert cofinite_subset_sum_counts(Z5, [(0,)], []) == []
 
 
 def test_cycle_types_and_counts():
