@@ -4,12 +4,12 @@ For elliptic schemes the proportion of qualified size-t complements is
 computed *exactly* from subset-sum counts over the point group G (t = m
 maps to counting complements summing to the identity, t = m - 1 to the
 complement of those summing to the inverse of P0).  The players are G minus
-a few points X (the identity and P0 for a standard scheme), so the counts
-come from the closed form for the whole group corrected for X
-(``groups.cofinite_subset_sum_counts``), not from a dynamic program over the
-players.  For higher genus there is no group table, so proportions are
-estimated by seeded Monte Carlo against a selectable qualification oracle,
-with Wilson 95% intervals.
+the identity and P0, so the counts come from the closed form for the whole
+group corrected for those two points (``groups.cofinite_subset_sum_counts``),
+not from a dynamic program over the players; a scheme with fewer players
+raises ``UnsupportedExclusionError``.  For higher genus there is no group
+table, so proportions are estimated by seeded Monte Carlo against a
+selectable qualification oracle, with Wilson 95% intervals.
 
 Bound evaluation mirrors the two asymptotic statements: the genus-1 bound
 1/N + C(M, t)/C(n, t), and the genus >= 2 expression combining the Weil
@@ -166,7 +166,12 @@ def _exact_estimates(scheme: SchemeInstance, ts: Sequence[int]) -> dict[int, Pro
 
 
 def exact_proportion_elliptic(scheme: SchemeInstance, t: int) -> ProportionEstimate:
-    """Exact qualified proportion at t in {m-1, m} via the subset-sum count."""
+    """Exact qualified proportion at t in {m-1, m} via the subset-sum count.
+
+    The players must be every point of E(F_q) but O and P0, as in
+    ``standard_scheme``; any other player set raises
+    ``groups.UnsupportedExclusionError``.
+    """
     return _exact_estimates(scheme, [t])[t]
 
 

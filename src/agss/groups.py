@@ -16,11 +16,11 @@ program in numpy on uint64 residues modulo 2^64 and a few primes just below
 2^62, enough that their product exceeds C(n, t), with a row of Python ints
 rebuilt by the Chinese remainder theorem only when it is read; memory is
 one (t+1) x N word table per modulus.  ``cofinite_subset_sum_counts`` takes
-a point set G \\ X that is the whole group minus a few points X: the
-whole-group count has a closed form in binomials and Moebius sums, and the
-excluded points enter through (1 + xz)^(-1), whose coefficients are counts
-of multisets of X; its work is about |X| * t * N cells.  Only character
-sums live in floating point.
+the whole group minus the identity and one more point, the shape of an
+elliptic scheme's players: the whole-group count has a closed form in
+binomials and Moebius sums per divisibility class, and the two excluded
+points enter through (1 + z)^(-1) and (1 + pz)^(-1), all in exact Python
+ints with no table over G.  Only character sums live in floating point.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -59,7 +59,11 @@ class InstanceTooLargeError(Exception):
 
 
 class BudgetExceededError(Exception):
-    """A count would take more than 2^31 cells of work (n*t*N for the DP)."""
+    """The dynamic-programming budget n*t*N <= 2^31 would be exceeded."""
+
+
+class UnsupportedExclusionError(ValueError):
+    """A whole-group count was asked for G minus more than one non-identity element."""
 
 
 class ClosedFormError(ArithmeticError):
@@ -221,11 +225,11 @@ _WORD_MODULUS = 2**64
 _PRIME_CEILING = 2**62
 
 
-def _moduli(bound: int, ceiling: int = _PRIME_CEILING) -> tuple[int, ...]:
-    """2^64, then the primes just below ceiling, until the product exceeds bound."""
+def _moduli(bound: int) -> tuple[int, ...]:
+    """2^64, then the primes just below 2^62, until the product exceeds bound."""
     moduli = [_WORD_MODULUS]
     product = _WORD_MODULUS
-    candidate = (ceiling - 2) | 1  # the largest odd number below ceiling
+    candidate = _PRIME_CEILING - 1
     while product <= bound:
         if is_prime(candidate):
             moduli.append(candidate)
@@ -254,8 +258,6 @@ class SubsetSumRows(Sequence):
         return len(self._rows)
 
     def _crt(self, s: int, cols) -> tuple[int, ...]:
-        if len(self._tables) == 1:  # below 2^64 the residues are the counts
-            return tuple(self._tables[0][s, cols].tolist())
         residues = zip(*(tab[s, cols].tolist() for tab in self._tables))
         return tuple(sum(map(operator.mul, r, self._coeffs)) % self._total for r in residues)
 
@@ -268,15 +270,6 @@ class SubsetSumRows(Sequence):
 
     def cell(self, s: int, i: int) -> int:
         return self._crt(operator.index(s), [operator.index(i)])[0]
-
-
-def _digit_table(group: AbelianGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every element's coordinates by index (an N x k array), the factors and
-    the strides; ((digits - a) % factors) @ strides is the index of i - a."""
-    idx = np.arange(group.order, dtype=np.int64)
-    strides = np.array(group._strides, dtype=np.int64)
-    factors = np.array(group.factors, dtype=np.int64)
-    return (idx[:, None] // strides[None, :]) % factors[None, :], factors, strides
 
 
 def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int) -> SubsetSumRows:
@@ -304,7 +297,11 @@ def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int
     moduli = _moduli(bound)
     assert math.prod(moduli) > bound
 
-    digits, factors, strides = _digit_table(group)
+    idx = np.arange(size, dtype=np.int64)
+    strides = np.array(group._strides, dtype=np.int64)
+    factors = np.array(group.factors, dtype=np.int64)
+    digits = (idx[:, None] // strides[None, :]) % factors[None, :]
+
     tables = [np.zeros((t + 1, size), dtype=np.uint64) for _ in moduli]
     for tab in tables:
         tab[0, 0] = 1  # the empty subset sums to the identity (index 0)
@@ -346,22 +343,6 @@ def _mobius(n: int) -> int:
     return -result if n > 1 else result
 
 
-def _divisibility_classes(group: AbelianGroup, digits: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The divisors s of exp G in ascending order, and for each element b the
-    position of the largest s with b in sG (b in sG iff gcd(s, d_i) | b_i).
-
-    The s with b in sG are exactly the divisors of that largest one, so the
-    position determines every membership [b in sG].
-    """
-    e = group.factors[-1]
-    divisors = [s for s in range(1, e + 1) if e % s == 0]
-    classes = np.zeros(group.order, dtype=np.int64)
-    for pos, s in enumerate(divisors):
-        gcds = np.array([math.gcd(s, d) for d in group.factors], dtype=np.int64)
-        classes[(digits % gcds == 0).all(axis=1)] = pos  # ascending, so the largest s wins
-    return divisors, classes
-
-
 def _whole_group_counts(group: AbelianGroup, divisors: list[int], t: int) -> list[list[int]]:
     """F[k][c], k = 0..t: the number of k-subsets of G summing to an element b
     of class c, i.e. whose largest s with b in sG is divisors[c].
@@ -371,7 +352,8 @@ def _whole_group_counts(group: AbelianGroup, divisors: list[int], t: int) -> lis
     with Phi_d(b) = sum_{s | d} mu(d/s) |G/sG| [b in sG], the sum of the
     characters of order d at b, and |G/sG| = prod_i gcd(s, d_i).  It holds
     because prod_{g in G} (1 + chi(g) z) = (1 - (-z)^d)^(N/d) for a character
-    chi of order d.
+    chi of order d.  The s with b in sG are exactly the divisors of the
+    largest one, so the class determines every membership [b in sG].
     """
     size = group.order
     quotient = {s: math.prod(math.gcd(s, d) for d in group.factors) for s in divisors}
@@ -403,79 +385,63 @@ def cofinite_subset_sum_counts(
 ) -> list[int]:
     """Exact counts of the t-subsets of G \\ X summing to b, one per cell (t, b).
 
-    X = ``excluded``.  In the group algebra,
-    prod_{g not in X} (1 + gz) = prod_{g in G} (1 + gz) * prod_{x in X} (1 + xz)^(-1),
-    which gives
+    X = ``excluded`` holds at most one element p besides the identity O, as
+    for the players of an elliptic scheme (all points but O and P0); any
+    other X raises ``UnsupportedExclusionError``.  In the group algebra,
+    prod_{g not in X} (1 + gz) = prod_{g in G} (1 + gz) * prod_{x in X} (1 + xz)^(-1).
+    For x = O the inverse is sum_u (-z)^u, which keeps b, so the count over
+    G \\ {O} is E(k, b) = F(k, b) - E(k - 1, b) with F the whole-group
+    closed form of ``_whole_group_counts``; for x = p it is
+    sum_j (-1)^j (jp) z^j, which gives
 
-        N(t, b) = sum_{j=0..t} (-1)^j sum_c H_j(c) F(t - j, b - c),
+        N(t, b) = sum_{j=0..t} (-1)^j E(t - j, b - jp).
 
-    where H_j(c) counts the size-j multisets of X summing to c and F is the
-    whole-group closed form of ``_whole_group_counts``.  F depends on its
-    element only through a divisibility class, so each row H_j is summed
-    per class of b - c in numpy and the classes are combined with exact
-    Python ints.  H runs on uint64 residues like the DP, with primes below
-    2^64 / N so that a class sum cannot wrap.  All cells share H.  Work is
-    (|X| + cells) * t * N cells for the largest t; memory is |X| + 1 rows
-    of N words per modulus.
+    F and E depend on their element only through a divisibility class, so
+    they are tabulated once per class, and everything is exact Python ints:
+    about tau(e) * t terms for the table and t + 1 per cell.
     """
     xs = _check_point_set(group, excluded)
-    size = group.order
-    n = size - len(xs)
+    others = [x for x in xs if x != group.identity]
+    if len(others) > 1:
+        raise UnsupportedExclusionError(
+            f"the excluded set may hold one element besides the identity, got {len(others)}"
+        )
+    n = group.order - len(xs)
     ts, targets = [], []
     for t, b in cells:
         if not 0 <= t <= n:
             raise ValueError(f"subset size t={t} out of range 0..{n}")
         ts.append(t)
-        targets.append(group.index(group.check(b)))
+        targets.append(group.check(b))
     if not ts:
         return []
-    t_max = max(ts)
-    work = (len(xs) + len(ts)) * t_max * size
-    if work > DP_BUDGET:
-        raise BudgetExceededError(f"(|X| + cells)*t*N = {work} exceeds the 2^31 budget")
 
-    digits, factors, strides = _digit_table(group)
-    divisors, classes = _divisibility_classes(group, digits)
-    k = len(divisors)
-    # per cell, the elements c sorted by the class of b - c (every class is
-    # nonempty), laid end to end so that one reduceat sums a row for all cells
-    order = np.empty((len(targets), size), dtype=np.int64)
-    starts = np.empty((len(targets), k), dtype=np.int64)
-    for cell, b in enumerate(targets):
-        target_classes = classes[((digits[b] - digits) % factors) @ strides]
-        order[cell] = np.argsort(target_classes, kind="stable")
-        starts[cell] = np.searchsorted(target_classes[order[cell]], np.arange(k)) + cell * size
-    order, starts = order.ravel(), starts.ravel()
-    shifts = [((digits - np.array(x, dtype=np.int64)) % factors) @ strides for x in xs]
+    e = group.factors[-1]
+    divisors = [s for s in range(1, e + 1) if e % s == 0]
+    counts = _whole_group_counts(group, divisors, max(ts))
+    if len(others) < len(xs):  # the identity is excluded
+        for k in range(1, len(counts)):
+            counts[k] = [f - prev for f, prev in zip(counts[k], counts[k - 1])]
+    gcds = [[math.gcd(s, d) for d in group.factors] for s in divisors]
 
-    moduli = _moduli(math.comb(len(xs) + t_max, t_max), min(_PRIME_CEILING, _WORD_MODULUS // size))
-    tables = []
-    for modulus in moduli:
-        # level[i] holds H_j over the first i points of X; over none it is [j = 0]
-        level = np.zeros((len(xs) + 1, size), dtype=np.uint64)
-        level[:, 0] = 1
-        sums = np.empty((t_max + 1, len(starts)), dtype=np.uint64)
-        sums[0] = np.add.reduceat(level[-1][order], starts)
-        level[0, 0] = 0
-        for j in range(1, t_max + 1):
-            for i, src in enumerate(shifts, start=1):
-                # level[i] still holds row j - 1, so x_i may repeat
-                np.add(level[i - 1], level[i][src], out=level[i])
-                if modulus != _WORD_MODULUS:
-                    np.minimum(level[i], level[i] - np.uint64(modulus), out=level[i])
-            sums[j] = np.add.reduceat(level[-1][order], starts)
-        tables.append(sums)
-    class_sums = SubsetSumRows(moduli, tables)  # CRT takes any representative
+    @cache
+    def divisor_class(b: GroupElement) -> int:
+        # the largest s | e with b in sG, i.e. gcd(s, d_i) | b_i for every i
+        return max(c for c, row in enumerate(gcds) if all(v % g == 0 for v, g in zip(b, row)))
 
-    whole = _whole_group_counts(group, divisors, t_max)
-    counts = []
-    for cell, t in enumerate(ts):
+    out = []
+    for t, b in zip(ts, targets):
+        if not others:
+            out.append(counts[t][divisor_class(b)])
+            continue
+        minus_p = group.neg(others[0])
         total = 0
-        for j in range(t + 1):
-            term = sum(map(operator.mul, whole[t - j], class_sums[j][cell * k:(cell + 1) * k]))
+        for j in range(t + 1):  # b runs through b - jp
+            term = counts[t - j][divisor_class(b)]
             total += -term if j % 2 else term
-        counts.append(total)
-    return counts
+            b = group.add(b, minus_p)
+        out.append(total)
+    return out
 
 
 # --- cycle-type combinatorics ---------------------------------------------

@@ -6,13 +6,14 @@ from agss.curves import affine_points, elliptic_curve, enumerate_points, group_s
 from agss.groups import (
     BudgetExceededError,
     TrivialCharacterError,
+    UnsupportedExclusionError,
     amplitude,
     cofinite_subset_sum_counts,
     li_wan_m,
     log_generalized_binomial,
     subset_sum_table,
 )
-from agss.scheme import WrongGenusError, enumerate_access
+from agss.scheme import WrongGenusError, enumerate_access, scheme_build
 from agss.experiments import (
     ExperimentConfig,
     RegimeMismatchError,
@@ -144,6 +145,14 @@ def test_bound_theorem3_dominates_exact_proportion():
     est = exact_proportion_elliptic(sch, sch.m)
     rep = bound_theorem3(sch.n, sch.m, table.group.order, phi)
     assert est.p_hat <= rep.total
+
+
+def test_exact_proportion_rejects_a_sparse_player_set():
+    # the closed form needs the players to be every point but O and P0
+    sch = small_elliptic_scheme()
+    sparse = scheme_build(sch.curve, sch.p0, sch.players[: sch.n - 2], sch.m - 2)
+    with pytest.raises(UnsupportedExclusionError):
+        exact_proportion_elliptic(sparse, sparse.m)
 
 
 def test_exact_counts_past_the_dp_budget_at_q2003():

@@ -13,6 +13,7 @@ from agss.groups import (
     InstanceTooLargeError,
     InvalidCycleTypeError,
     TrivialGroupError,
+    UnsupportedExclusionError,
     amplitude,
     char_sum,
     cofinite_subset_sum_counts,
@@ -245,11 +246,9 @@ def test_subset_sum_budget():
 def test_cofinite_count_matches_reference_dp(data):
     g = AbelianGroup(data.draw(st.sampled_from([(1,), (7,), (2, 2), (2, 6), (4, 8), (60,)])))
     els = list(g.elements())
-    excluded = data.draw(st.one_of(
-        st.just([]),
-        st.just([g.identity]),
-        st.lists(st.sampled_from(els), unique=True, max_size=g.order - 1),
-    ))
+    # every supported X: inside {identity, p}
+    p = data.draw(st.sampled_from(els))
+    excluded = data.draw(st.sampled_from([[], [g.identity], [p], sorted({g.identity, p})]))
     pts = [a for a in els if a not in excluded]
     n = len(pts)
     ref = reference_subset_sum_table(g, pts, n)
@@ -268,26 +267,21 @@ def test_cofinite_count_sums_to_the_binomial_on_a_sweep_group():
         assert sum(counts) == math.comb(scheme.n, t)
 
 
-def test_cofinite_count_with_multiset_counts_past_int64():
-    g = AbelianGroup((200,))
-    rng = np.random.default_rng(200)
-    removed = set(rng.choice(g.order, size=60, replace=False).tolist())
-    excluded = [(i,) for i in sorted(removed)]
-    pts = [(i,) for i in range(g.order) if i not in removed]
+def test_cofinite_count_past_the_word_size_matches_the_dp():
+    g = AbelianGroup((2, 100))
+    p = (1, 37)
+    excluded = [g.identity, p]
+    pts = [a for a in g.elements() if a not in excluded]
     t = 70
-    # there are C(60 + 70 - 1, 70) size-70 multisets of the excluded points
-    assert math.comb(len(excluded) + t - 1, t) > 2**63
     rows = subset_sum_table(g, pts, t)
-    counts = cofinite_subset_sum_counts(g, excluded, [(t, (i,)) for i in range(g.order)])
+    assert len(rows.moduli) > 2 and max(rows[t]) > 2**128
+    counts = cofinite_subset_sum_counts(g, excluded, [(t, b) for b in g.elements()])
     assert counts == list(rows[t])
 
 
-def test_cofinite_count_budget_is_checked_before_allocation():
-    # an N-element index array of this group cannot even be allocated, so
-    # any allocation ahead of the budget check raises something else
-    g = AbelianGroup((2**62,))
-    with pytest.raises(BudgetExceededError):
-        cofinite_subset_sum_counts(g, [(0,), (1,)], [(2**20, (0,))])
+def test_cofinite_count_rejects_unsupported_input():
+    with pytest.raises(UnsupportedExclusionError):
+        cofinite_subset_sum_counts(Z5, [(1,), (2,)], [(1, (0,))])
     with pytest.raises(ValueError):
         cofinite_subset_sum_counts(Z5, [(0,)], [(5, (0,))])  # t > n = 4
     assert cofinite_subset_sum_counts(Z5, [(0,)], []) == []
