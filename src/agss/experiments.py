@@ -7,7 +7,9 @@ complement of those summing to the inverse of P0).  The players are G minus
 the identity and P0, so the counts come from the closed form for the whole
 group corrected for those two points (``groups.cofinite_subset_sum_counts``),
 not from a dynamic program over the players; a scheme with fewer players
-raises ``UnsupportedExclusionError``.  For higher genus there is no group
+raises ``UnsupportedExclusionError``.  The counts need only the point group
+and the layout of ``standard_points``, so an exact sweep builds no code
+matrices.  For higher genus there is no group
 table, so proportions are estimated by seeded Monte Carlo against a
 selectable qualification oracle, with Wilson 95% intervals.
 
@@ -35,6 +37,7 @@ from .curves import (
     Curve,
     EllipticCurve,
     HyperellipticCurve,
+    Point,
     SingularCurveError,
     affine_points,
     elliptic_curve,
@@ -59,7 +62,9 @@ from .scheme import (
     SchemeInstance,
     WrongGenusError,
     _decide,
+    check_layout,
     enumerate_access,
+    group_images,
     scheme_build,
 )
 
@@ -140,25 +145,27 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 
 # --- exact proportions (genus 1) -------------------------------------------
 
-def _exact_estimates(scheme: SchemeInstance, ts: Sequence[int]) -> dict[int, ProportionEstimate]:
-    if not isinstance(scheme.curve, EllipticCurve):
+def _exact_estimates(
+    curve: Curve, p0: Point, players: Sequence[Point], m: int, ts: Sequence[int]
+) -> dict[int, ProportionEstimate]:
+    """Exact proportions from the point group alone: no code matrix is read."""
+    if not isinstance(curve, EllipticCurve):
         raise WrongGenusError("exact proportions require an elliptic scheme")
-    m = scheme.m
     for t in ts:
         if t not in (m - 1, m):
             raise UnsupportedOffsetError(f"exact proportion defined for t in {{m-1, m}}, got t={t}, m={m}")
-    table, images = scheme.player_images
+    table, images = group_images(curve, players)
     group = table.group
-    players = set(map(tuple, images.tolist()))
-    excluded = [a for a in group.elements() if a not in players]
+    taken = set(map(tuple, images.tolist()))
+    excluded = [a for a in group.elements() if a not in taken]
     # t = m counts complements summing to the identity; at t = m - 1 the
     # unqualified complements are exactly those summing to -P0
-    targets = {m: group.identity, m - 1: group.neg(table.log(scheme.p0))}
+    targets = {m: group.identity, m - 1: group.neg(table.log(p0))}
     ts = sorted(set(ts))
     counts = cofinite_subset_sum_counts(group, excluded, [(t, targets[t]) for t in ts])
     out = {}
     for t, count in zip(ts, counts):
-        total = math.comb(scheme.n, t)
+        total = math.comb(len(players), t)
         qualified = count if t == m else total - count
         p_hat = float(Fraction(qualified, total))
         out[t] = ProportionEstimate(qualified, total, p_hat, p_hat, p_hat, True)
@@ -172,7 +179,7 @@ def exact_proportion_elliptic(scheme: SchemeInstance, t: int) -> ProportionEstim
     ``standard_scheme``; any other player set raises
     ``groups.UnsupportedExclusionError``.
     """
-    return _exact_estimates(scheme, [t])[t]
+    return _exact_estimates(scheme.curve, scheme.p0, scheme.players, scheme.m, [t])[t]
 
 
 # --- Monte Carlo -------------------------------------------------------------
@@ -300,12 +307,8 @@ def hasse_checks(curve: Curve) -> HasseReport:
     # |count - (q + 1)| <= 2 g sqrt(q), checked exactly on integers
     diff = count - (q + 1)
     count_ok = diff * diff <= 4 * g * g * q
-    jacobian_ok = None
-    if g == 1:
-        # (sqrt(q) - 1)^2 <= h <= (sqrt(q) + 1)^2 with h = point count
-        lo_ok = (q + 1 - count) <= 0 or (q + 1 - count) ** 2 <= 4 * q
-        hi_ok = (count - q - 1) <= 0 or (count - q - 1) ** 2 <= 4 * q
-        jacobian_ok = lo_ok and hi_ok
+    # Jac(E) = E(F_q), so the Jacobian window (sqrt(q) -+ 1)^2 is the Hasse window
+    jacobian_ok = count_ok if g == 1 else None
     return HasseReport(count, g, q, count_ok, jacobian_ok)
 
 
@@ -344,15 +347,22 @@ def _round_half_down(x: float) -> int:
     return math.ceil(x - 0.5)
 
 
-def standard_scheme(curve: Curve, delta: float) -> SchemeInstance:
+def standard_points(curve: Curve, delta: float) -> tuple[Point, tuple[Point, ...], int]:
     """P0 = lexicographically smallest affine point, players = the rest,
-    m = round(delta * n) with ties rounded down."""
+    m = round(delta * n) with ties rounded down.  The layout passes
+    ``scheme_build``'s checks (``check_layout``); no code matrix is built."""
     pts = affine_points(curve)
     if len(pts) < 4:
         raise ValueError("curve has too few affine points for a scheme")
     p0, players = pts[0], pts[1:]
     m = _round_half_down(delta * len(players))
-    return scheme_build(curve, p0, players, m)
+    check_layout(curve, p0, players, m)
+    return p0, players, m
+
+
+def standard_scheme(curve: Curve, delta: float) -> SchemeInstance:
+    """The scheme on ``standard_points(curve, delta)``."""
+    return scheme_build(curve, *standard_points(curve, delta))
 
 
 @dataclass(frozen=True)
@@ -408,19 +418,24 @@ def sweep_rows(config: ExperimentConfig) -> list[dict]:
         for off in config.offsets:
             if off >= 2 * g:
                 raise ValueError(f"offset {off} outside the gray zone for genus {g}")
-        scheme = standard_scheme(curve, config.delta)
-        n, m = scheme.n, scheme.m
+        # exact mode reads only the point group, so it builds no code matrices
+        if config.mode == "exact":
+            p0, players, m = standard_points(curve, config.delta)
+        else:
+            scheme = standard_scheme(curve, config.delta)
+            p0, players, m = scheme.p0, scheme.players, scheme.m
+        n = len(players)
         c = len(enumerate_points(curve)) - n
 
         if g == 1:
-            table, images = scheme.player_images
+            table, images = group_images(curve, players)
             phi = amplitude(table.group, images)
             n_group = table.group.order
 
         estimates: dict[int, ProportionEstimate] = {}
         ts = [m - off for off in config.offsets]
         if config.mode == "exact":
-            estimates = _exact_estimates(scheme, ts)
+            estimates = _exact_estimates(curve, p0, players, m, ts)
         else:
             for t in ts:
                 if config.mode == "exhaustive":

@@ -192,17 +192,22 @@ class SchemeInstance:
 
     @cached_property
     def player_images(self) -> tuple[GroupTable, np.ndarray]:
-        """The curve's group table and, as row i of an n x 2 int64 array,
-        player i's element of its point group (elliptic schemes only)."""
-        if not isinstance(self.curve, EllipticCurve):
-            raise WrongGenusError("the point group exists only for an elliptic scheme")
-        table = group_structure(self.curve)
-        return table, np.array([table.log(pt) for pt in self.players], dtype=np.int64)
+        """``group_images(curve, players)``, computed once per scheme."""
+        return group_images(self.curve, self.players)
 
 
-def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> SchemeInstance:
-    """Validate the configuration and materialize both code bases."""
-    players = tuple(players)
+def group_images(curve: Curve, points: Sequence[Point]) -> tuple[GroupTable, np.ndarray]:
+    """The curve's group table and, as row i of a len(points) x 2 int64
+    array, point i's element of its point group (elliptic curves only)."""
+    if not isinstance(curve, EllipticCurve):
+        raise WrongGenusError("the point group exists only for an elliptic scheme")
+    table = group_structure(curve)
+    return table, np.array([table.log(pt) for pt in points], dtype=np.int64)
+
+
+def check_layout(curve: Curve, p0: Point, players: Sequence[Point], m: int) -> None:
+    """The layout checks of ``scheme_build``, which need no code matrix:
+    2g - 2 < m <= n - 1, and P0 and the players are distinct affine points."""
     n = len(players)
     g = curve.genus
     if not 2 * g - 2 < m <= n - 1:
@@ -213,6 +218,13 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
             raise DuplicatePointError("a scheme point coincides with the pole point at infinity")
     if len(set(pts)) != n + 1:
         raise DuplicatePointError("scheme points must be pairwise distinct")
+
+
+def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> SchemeInstance:
+    """Validate the configuration and materialize both code bases."""
+    players = tuple(players)
+    check_layout(curve, p0, players, m)
+    pts = (p0, *players)
 
     basis = rr_basis(curve, m)
     p = curve.field.p

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,9 @@ from agss.cli import main
 from agss.curves import elliptic_curve
 from agss.experiments import standard_scheme, exact_proportion_elliptic
 from agss.scheme import share
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -265,15 +269,29 @@ def test_experiment_genus2_invalid_field_size_exits_2(tmp_path, capsys):
 
 
 def test_experiment_degree_out_of_range_exits_2(tmp_path, capsys):
-    # m = round(0.01 * 16) = 0 violates 2g - 2 < m
-    out = tmp_path / "x.csv"
-    code, _, err = run(
-        capsys, "experiment", "--curve", "ec:p=13,a=1,b=1", "--delta", "0.01",
-        "--seed", "1", "--out", str(out),
-    )
-    assert code == 2
-    assert "2g-2 < m" in err
-    assert not out.exists()
+    # m = round(0.03 * 16) = 0 violates 2g - 2 < m; exact mode builds no
+    # scheme, yet checks the layout as scheme_build does
+    for mode in ("exact", "exhaustive", "montecarlo"):
+        out = tmp_path / f"{mode}.csv"
+        code, _, err = run(
+            capsys, "experiment", "--curve", "ec:p=13,a=1,b=1", "--mode", mode, "--delta", "0.03",
+            "--t-offset", "0,1", "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert "need 2g-2 < m <= n-1, got m=0" in err
+        assert not out.exists()
+
+
+def test_experiment_exact_mode_builds_no_code_matrices(tmp_path, capsys, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("exact mode built a code matrix")
+
+    monkeypatch.setattr("agss.experiments.scheme_build", refuse)
+    monkeypatch.setattr("agss.scheme.rref_array", refuse)
+    out = tmp_path / "theorem3.csv"
+    code, _, _ = run(capsys, "experiment", "--config", str(ROOT / "configs/theorem3.ini"), "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == (ROOT / "bench/reference/theorem3.csv").read_bytes()
 
 
 def test_experiment_unknown_config_key(tmp_path, capsys):

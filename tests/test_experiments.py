@@ -13,7 +13,7 @@ from agss.groups import (
     log_generalized_binomial,
     subset_sum_table,
 )
-from agss.scheme import WrongGenusError, enumerate_access, scheme_build
+from agss.scheme import DegreeOutOfRangeError, WrongGenusError, enumerate_access, scheme_build
 from agss.experiments import (
     ExperimentConfig,
     RegimeMismatchError,
@@ -27,6 +27,7 @@ from agss.experiments import (
     find_hyperelliptic_curve,
     hasse_checks,
     mc_proportion,
+    standard_points,
     standard_scheme,
     sweep_csv,
     sweep_rows,
@@ -161,10 +162,9 @@ def test_exact_counts_past_the_dp_budget_at_q2003():
     table = group_structure(curve)
     group = table.group
     assert group.factors == (2, 1004)
-    p0, *players = affine_points(curve)
+    p0, players, m = standard_points(curve, 0.5)
     images = [table.log(pt) for pt in players]
     n, size = len(images), group.order
-    m = _round_half_down(0.5 * n)
     with pytest.raises(BudgetExceededError):
         subset_sum_table(group, images, m)
     cells = [(m, group.identity), (m - 1, group.neg(table.log(p0)))]
@@ -176,6 +176,12 @@ def test_exact_counts_past_the_dp_budget_at_q2003():
         bound = log_generalized_binomial(li_wan_m(n, t, phi), t)
         assert deviation == 0 or math.log(deviation) - math.log(size) <= bound
     assert counts[0] / math.comb(n, m) <= bound_theorem3(n, m, size, phi).total
+    # the sweep reports the same two counts: t = m qualified iff the sum is O
+    rows = sweep_rows(ExperimentConfig(seed=1, q_values=(2003,), mode="exact", offsets=(0, 1)))
+    assert [(row["t"], row["qualified"]) for row in rows] == [
+        (m, counts[0]),
+        (m - 1, math.comb(n, m - 1) - counts[1]),
+    ]
 
 
 def test_bound_theorem4_examples():
@@ -214,6 +220,15 @@ def test_hasse_checks():
     rep13 = hasse_checks(elliptic_curve(13, 1, 1))
     assert rep13.jacobian_ok is True
     assert abs(rep13.point_count - 14) <= 2 * math.sqrt(13)
+
+
+def test_genus1_jacobian_window_is_the_hasse_window():
+    primes = [q for q in range(5, 61) if all(q % d for d in range(2, q))]
+    for q in primes:
+        rep = hasse_checks(find_elliptic_curve(q))
+        assert rep.jacobian_ok == rep.count_ok
+        # (sqrt(q) - 1)^2 <= h <= (sqrt(q) + 1)^2, never an equality for prime q
+        assert rep.count_ok == ((math.sqrt(q) - 1) ** 2 <= rep.point_count <= (math.sqrt(q) + 1) ** 2)
 
 
 def test_curve_char_sum():
@@ -255,6 +270,11 @@ def test_standard_scheme_layout():
     assert sch.p0 == pts[0]
     assert sch.players == pts[1:]
     assert sch.m == _round_half_down(0.5 * sch.n)
+    assert standard_points(curve, 0.5) == (sch.p0, sch.players, sch.m)
+    with pytest.raises(DegreeOutOfRangeError):
+        standard_points(curve, 0.03)  # m = 0
+    with pytest.raises(ValueError, match="too few affine points"):
+        standard_points(elliptic_curve(5, 2, 0), 0.5)
 
 
 def test_config_validation():
