@@ -58,6 +58,7 @@ from .groups import (
     subset_sum_table,  # unused here, but bench/probes.py wraps agss.experiments.subset_sum_table
 )
 from .scheme import (
+    DECIDE_BLOCK,
     ORACLE_NAMES,
     SchemeInstance,
     WrongGenusError,
@@ -185,20 +186,29 @@ def exact_proportion_elliptic(scheme: SchemeInstance, t: int) -> ProportionEstim
 # --- Monte Carlo -------------------------------------------------------------
 
 def _mc_chunk(scheme: SchemeInstance, t: int, seed_seq: tuple[int, ...], count: int, oracle: str) -> int:
+    """Qualified samples among ``count`` uniform size-t complements, drawn
+    and decided ``DECIDE_BLOCK`` at a time.
+
+    Each sample is a partial Fisher-Yates shuffle of the players.  One
+    ``integers`` call draws a whole block's swap targets in the order that
+    one call per sample would, so the stream does not depend on the block
+    size.
+    """
     rng = np.random.default_rng(seed_seq)
     n = scheme.n
-    base = np.arange(n, dtype=np.int64)
     lows = np.arange(t, dtype=np.int64)
     hits = 0
-    for _ in range(count):
-        arr = base.copy()
+    for start in range(0, count, DECIDE_BLOCK):
+        size = min(DECIDE_BLOCK, count - start)
+        block = np.empty((size, t), dtype=np.int64)
         if t:
-            js = rng.integers(lows, n)  # partial Fisher-Yates
-            for i in range(t):
-                j = int(js[i])
-                arr[i], arr[j] = arr[j], arr[i]
-        if _decide(scheme, arr[:t], oracle):
-            hits += 1
+            js = rng.integers(np.broadcast_to(lows, (size, t)), n).tolist()
+            for row, targets in zip(block, js):
+                arr = list(range(n))
+                for i, j in enumerate(targets):
+                    arr[i], arr[j] = arr[j], arr[i]
+                row[:] = arr[:t]
+        hits += int(_decide(scheme, block, oracle).sum())
     return hits
 
 

@@ -3,18 +3,22 @@
 A ``FieldElement`` is a value, not an arithmetic type: a canonical residue
 tagged with its field, so the dealing API can reject a value from another
 field (``FieldMismatchError``) instead of coercing it.  All arithmetic runs
-on plain ints and on int64 arrays with entries reduced mod p.  Every matrix
+on plain ints and on int64 (or int32) arrays with entries reduced mod p.  Every matrix
 routine is canonical: one forward elimination loop picks the first nonzero
 pivot in column order, so identical inputs always produce bit-identical
 outputs.  That loop delays reduction mod p (Dumas, Giorgi, Pernet, ACM TOMS
 35(3), 2008): a step reduces only the pivot column and the pivot row, and
 the trailing block is reduced only as often as int64 exactness requires.
-Rank, RREF, kernel, solve and the row-space test all run through it.
+Rank, RREF, kernel and solve run through it.  Solvability alone runs
+through ``solvable_stack``, which eliminates a whole stack of systems at
+once with the same delayed reduction, in int32 when p is small enough;
+``solvable_array`` and the row-space test are stacks of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -195,24 +199,18 @@ def _kernel_from_rref(r: np.ndarray, pivots, p: int) -> np.ndarray:
     return basis
 
 
-def _augmented_echelon(a: np.ndarray, b: np.ndarray, p: int):
-    """Forward elimination of [a | b]; returns (m, pivots, solvable)."""
+def _solve(a: np.ndarray, b: np.ndarray, p: int):
+    """One solution of a x = b (free variables set to 0), or None.
+
+    One forward elimination of [a | b] decides solvability;
+    back-substitution runs only when a solution exists.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64).reshape(-1)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"rhs length {b.shape[0]} != row count {a.shape[0]}")
     m, pivots = _forward_echelon(np.hstack([a, b[:, None]]), p)
-    return m, pivots, a.shape[1] not in pivots
-
-
-def _solve(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution of a x = b (free variables set to 0), or None.
-
-    One forward elimination decides solvability; back-substitution runs
-    only when a solution exists.
-    """
-    m, pivots, solvable = _augmented_echelon(a, b, p)
-    if not solvable:
+    if a.shape[1] in pivots:
         return None
     r = _back_substitute(m, pivots, p)
     x = np.zeros(m.shape[1] - 1, dtype=np.int64)
@@ -229,9 +227,97 @@ def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+def stack_dtype(p: int):
+    """The dtype of a system stack over F_p: int32 while a residue product
+    plus a residue fits in it, else int64."""
+    return np.int32 if (p - 1) ** 2 + p < 2**31 else np.int64
+
+
+@lru_cache(maxsize=8)
+def _inverse_table(p: int) -> np.ndarray:
+    """int32 array whose entry v is 1/v mod p, and 0 at v = 0 (int32 stacks only)."""
+    inv = [0, 1]
+    for v in range(2, p):
+        inv.append(-(p // v) * inv[p % v] % p)
+    table = np.array(inv, dtype=np.int32)
+    table.flags.writeable = False
+    return table
+
+
+def _solvable_stack(m: np.ndarray, p: int) -> np.ndarray:
+    """Whether each augmented system of a stack is solvable; eliminates in place.
+
+    ``m`` is B x (C + 1) x R of dtype ``stack_dtype(p)`` with entries in
+    [0, p), stored by columns: system k is sum_c x_c m[k, c] = m[k, C].
+    Per column, each system takes its first nonzero row as the pivot and
+    eliminates the column from every row, the pivot row included, which
+    leaves that row zero mod p so it is never picked again.  Only
+    solvability is asked, so no row moves.  A system with no pivot in a
+    column has a zero multiplier there and keeps all its rows.  Zero rows
+    and zero columns are padding that changes no verdict.  A system is
+    solvable iff its right-hand side ends zero mod p.  Reduction is delayed
+    as in ``_forward_echelon``: column c is reduced when the loop reaches
+    it, the rest of the stack after ``delay`` updates.
+    """
+    stacks, width, rows = m.shape
+    if not rows:
+        return np.ones(stacks, dtype=bool)
+    # an update moves an entry by at most (p - 1)^2, so an entry in [0, p)
+    # absorbs this many of them without leaving the dtype: 48 695 at
+    # p = 211 (int32), 1 at p = 46 337 (int32), 2 near 2^31 (int64)
+    delay = (np.iinfo(m.dtype).max - p) // (p - 1) ** 2
+    at = np.arange(stacks)
+    inverses = _inverse_table(p) if m.dtype == np.int32 else None
+    pending = 0
+    for c in range(width - 1):
+        col = m[:, c]
+        col %= p
+        # any nonzero entry can pivot, so take the largest; it is 0 only in
+        # a system with no pivot here, whose multiplier 0 makes its update 0
+        first = col.argmax(axis=1)
+        lead = col[at, first]
+        if inverses is None:
+            inv = np.array([pow(v, -1, p) if v else 0 for v in lead.tolist()], dtype=m.dtype)
+        else:
+            inv = inverses[lead]
+        pivot_row = m[at, c + 1:, first]
+        pivot_row %= p
+        pivot_row *= inv[:, None]
+        pivot_row %= p
+        m[:, c + 1:] -= pivot_row[:, :, None] * col[:, None, :]
+        pending += 1
+        if pending == delay:
+            m[:, c + 1:] %= p
+            pending = 0
+    return ~(m[:, -1] % p).any(axis=1)
+
+
+def solvable_stack(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Whether a[k] x = b[k] has a solution, for each system k of a stack.
+
+    ``a`` is B x R x C and ``b`` is B x R (or broadcasts to it); returns
+    bool[B].  Forward elimination only, one pass for the whole stack.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 3:
+        raise ValueError(f"expected a B x R x C stack, got shape {a.shape}")
+    stacks, rows, cols = a.shape
+    b = np.asarray(b, dtype=np.int64)
+    if b.shape[-1:] != (rows,):
+        raise ValueError(f"rhs length {b.shape[-1:]} != row count {rows}")
+    m = np.empty((stacks, cols + 1, rows), dtype=stack_dtype(p))
+    m[:, :cols] = a.transpose(0, 2, 1) % p
+    m[:, cols] = b % p
+    return _solvable_stack(m, p)
+
+
 def solvable_array(a: np.ndarray, b: np.ndarray, p: int) -> bool:
-    """Whether a x = b has a solution (forward elimination only)."""
-    return _augmented_echelon(a, b, p)[2]
+    """Whether a x = b has a solution: ``solvable_stack`` on a stack of one."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64).reshape(-1)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    return bool(solvable_stack(a[None], b[None], p)[0])
 
 
 def in_row_space(a: np.ndarray, vec: np.ndarray, p: int) -> bool:

@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -50,20 +50,26 @@ from .field import (
     FieldMismatchError,
     NoSolutionError,
     _kernel_from_rref,
+    _solvable_stack,
     _solve,
-    in_row_space,
+    in_row_space,  # unused here, but bench/probes.py wraps agss.scheme.in_row_space
     kernel_array,  # unused here, but bench/probes.py wraps agss.scheme.kernel_array
     matvec_array,
     rank_array,  # unused here, but bench/probes.py wraps agss.scheme.rank_array
     rref_array,
-    solvable_array,
+    solvable_array,  # unused here, but bench/probes.py wraps agss.scheme.solvable_array
+    solvable_stack,
     solve_array,
+    stack_dtype,
 )
 from .groups import InstanceTooLargeError
 
 ENUMERATION_LIMIT = 10**7
 
 ORACLE_NAMES = ("kernel", "dual", "clx")
+
+# complements decided per batched elimination; larger blocks cost peak memory
+DECIDE_BLOCK = 8
 
 
 class DuplicatePointError(Exception):
@@ -178,17 +184,23 @@ class SchemeInstance:
         return self.gen_matrix[:, 0].copy()
 
     @cached_property
-    def _systematic_index(self):
-        """Per code coordinate: whether it is a pivot column, and its RREF
-        row (pivot) or ``omega_matrix`` row (free); plus the pivot columns."""
-        cols = self.gen_matrix.shape[1]
+    def _kernel_index(self):
+        """The kernel oracle's gather table, pivot columns and free columns.
+
+        Row j of the table is free column j of RREF(gen) read at the pivot
+        rows, i.e. ``omega_matrix`` row j at the pivot columns; row F is a
+        zero column and row F + 1 is e_0, the right-hand side; column P is
+        a zero equation.  Padding with the zero column and equation changes
+        no verdict.
+        """
         pivots = np.array(self.pivots, dtype=np.int64)
-        is_pivot = np.zeros(cols, dtype=bool)
+        is_pivot = np.zeros(self.gen_matrix.shape[1], dtype=bool)
         is_pivot[pivots] = True
-        slot = np.empty(cols, dtype=np.int64)
-        slot[is_pivot] = np.arange(len(pivots))
-        slot[~is_pivot] = np.arange(cols - len(pivots))
-        return is_pivot, slot, pivots
+        free = np.flatnonzero(~is_pivot)
+        table = np.zeros((len(free) + 2, len(pivots) + 1), dtype=stack_dtype(self.field.p))
+        table[:-2, :-1] = self.omega_matrix[:, pivots]
+        table[-1, 0] = 1  # row 0, the pivot of column 0, is never removed
+        return table, pivots, free
 
     @cached_property
     def player_images(self) -> tuple[GroupTable, np.ndarray]:
@@ -338,72 +350,94 @@ def reconstruct(scheme: SchemeInstance, subset: Sequence[int], shares: Sequence)
 
 # --- qualification oracles -----------------------------------------------------
 
-def _kernel_qualified(scheme: SchemeInstance, a_idx) -> bool:
-    """Qualified iff the P0 column of gen is outside the span of the A columns.
+def _kernel_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
+    """Qualified iff the P0 column of gen is outside the span of the A
+    columns, for each row A of a nonempty B x t block of complements.
 
     Row operations keep column relations, so this is asked of RREF(gen).
     There column 0 is the unit vector e_0 (the constant function makes it
     pivot 0), and each pivot column in A is a unit vector that only removes
     its row.  What is left: is e_0 in the span of A's free columns, on the
     remaining pivot rows?  Those columns are rows of ``omega_matrix`` read
-    at the pivot columns, negated, and a sign does not change a span.
+    at the pivot columns, negated, and a sign does not change a span.  One
+    indexing step gathers every system from ``_kernel_index``'s table,
+    padded to the block's largest, and one batched elimination decides the
+    block.
     """
-    is_pivot, slot, pivots = scheme._systematic_index
-    cols = np.asarray(a_idx, dtype=np.int64) + 1
-    in_pivot = is_pivot[cols]
-    keep = np.ones(len(pivots), dtype=bool)
-    keep[slot[cols[in_pivot]]] = False
-    rows = scheme.omega_matrix.take(slot[cols[~in_pivot]], axis=0).take(pivots[keep], axis=1)
-    e0 = np.zeros(rows.shape[1], dtype=np.int64)
-    e0[0] = 1  # row 0 (the pivot of column 0) is always kept
-    return not in_row_space(rows, e0, scheme.field.p)
+    table, pivots, free_cols = scheme._kernel_index
+    hit = np.zeros((len(a_block), scheme.n + 1), dtype=bool)
+    hit[np.arange(len(a_block))[:, None], a_block + 1] = True
+    removed, used = hit[:, pivots], hit[:, free_cols]
+    kept, free = len(pivots) - removed.sum(axis=1), used.sum(axis=1)
+    # stable argsorts list each system's kept rows and free columns first;
+    # the positions past its own counts read the zero equation and column
+    rows = np.argsort(removed, axis=1, kind="stable")[:, :kept.max()]
+    rows[np.arange(rows.shape[1]) >= kept[:, None]] = len(pivots)
+    columns = np.full((len(a_block), free.max() + 1), len(free_cols) + 1)
+    columns[:, :-1] = np.argsort(~used, axis=1, kind="stable")[:, :free.max()]
+    columns[:, :-1][np.arange(free.max()) >= free[:, None]] = len(free_cols)
+    stack = table[columns[:, :, None], rows[:, None, :]]
+    return ~_solvable_stack(stack, scheme.field.p)
 
 
-def _dual_system(scheme: SchemeInstance, a_idx):
-    """The S-column system W_S y = -W_0 and the code coordinates of S.
+def _kernel_qualified(scheme: SchemeInstance, a_idx) -> bool:
+    return bool(_kernel_block(scheme, np.asarray(a_idx, dtype=np.int64)[None])[0])
+
+
+def _dual_systems(scheme: SchemeInstance, a_block: np.ndarray):
+    """The S-column systems W_S y = -W_0, one per row of a B x t block,
+    stacked B x (dim share code) x (n - t), their right-hand side and the
+    code coordinates of each S.
 
     The share-code constraint W v = 0 admits v with v_0 = 1 and support
-    inside {0} union S exactly when this system is solvable.
+    inside {0} union S exactly when this system is solvable.  Every
+    complement leaves n - t columns, so the systems stack unpadded.
     """
     w = scheme.omega_matrix
-    mask = np.ones(scheme.n + 1, dtype=bool)
-    mask[0] = False
-    if len(a_idx):
-        mask[np.asarray(a_idx) + 1] = False
-    s_cols = np.nonzero(mask)[0]
-    return w[:, s_cols], (-w[:, 0]) % scheme.field.p, s_cols
+    count, t = a_block.shape
+    mask = np.ones((count, scheme.n + 1), dtype=bool)
+    mask[:, 0] = False
+    mask[np.arange(count)[:, None], a_block + 1] = False
+    s_cols = np.nonzero(mask)[1].reshape(count, scheme.n - t)
+    return np.moveaxis(w[:, s_cols], 1, 0), (-w[:, 0]) % scheme.field.p, s_cols
 
 
-def _dual_qualified(scheme: SchemeInstance, a_idx) -> bool:
-    w_s, rhs, _ = _dual_system(scheme, a_idx)
-    return solvable_array(w_s, rhs, scheme.field.p)
+def _dual_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
+    w_s, rhs, _ = _dual_systems(scheme, a_block)
+    return solvable_stack(w_s, rhs, scheme.field.p)
 
 
-def _clx_qualified(scheme: SchemeInstance, a_idx) -> bool:
+def _clx_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
+    """The group-law criterion, for each row of a B x t block."""
     table, images = scheme.player_images
     group = table.group
-    t = len(a_idx)
+    count, t = a_block.shape
     m = scheme.m
     if t > m:
-        return False
+        return np.zeros(count, dtype=bool)
     if t <= m - 2:
-        return True
-    total = tuple(int(v) for v in images[a_idx].sum(axis=0) % group.factors)
+        return np.ones(count, dtype=bool)
+    totals = images[a_block].sum(axis=1) % np.asarray(group.factors)
     if t == m:
-        return total == group.identity
+        return (totals == np.asarray(group.identity)).all(axis=1)
     # t == m - 1: qualified iff the forced extra zero B = -(sum of A) avoids P0
-    return group.neg(total) != table.log(scheme.p0)
+    return (totals != np.asarray(group.neg(table.log(scheme.p0)))).any(axis=1)
 
 
-_ORACLES = {"kernel": _kernel_qualified, "dual": _dual_qualified, "clx": _clx_qualified}
+_ORACLES = {"kernel": _kernel_block, "dual": _dual_block, "clx": _clx_block}
 
 
-def _decide(scheme: SchemeInstance, a_idx, oracle: str) -> bool:
+def _decide(scheme: SchemeInstance, a_block: np.ndarray, oracle: str) -> np.ndarray:
+    """The oracle's verdict on each row of a B x t block of complements."""
     try:
         fn = _ORACLES[oracle]
     except KeyError:
         raise ValueError(f"unknown oracle {oracle!r}; choose from {ORACLE_NAMES}") from None
-    return fn(scheme, a_idx)
+    return fn(scheme, a_block)
+
+
+def _decide_one(scheme: SchemeInstance, a_idx, oracle: str) -> bool:
+    return bool(_decide(scheme, np.asarray(a_idx, dtype=np.int64)[None], oracle)[0])
 
 
 def is_qualified_kernel(scheme: SchemeInstance, subset: Sequence[int]) -> QualifiedVerdict:
@@ -419,13 +453,13 @@ def is_qualified_dual(scheme: SchemeInstance, subset: Sequence[int]) -> Qualifie
     """Code-coordinate oracle; decides on the share-code basis columns."""
     a_idx = _complement(scheme, _check_subset(scheme, subset))
     p = scheme.field.p
-    w_s, rhs, s_cols = _dual_system(scheme, a_idx)
-    y = _solve(w_s, rhs, p)  # one elimination gives the verdict and the word
+    w_s, rhs, s_cols = _dual_systems(scheme, a_idx[None])
+    y = _solve(w_s[0], rhs, p)  # one elimination gives the verdict and the word
     if y is None:
         return QualifiedVerdict(False)
     codeword = np.zeros(scheme.n + 1, dtype=np.int64)
     codeword[0] = 1
-    codeword[s_cols] = y
+    codeword[s_cols[0]] = y
     # lift the evaluation-code word back to a function for the witness
     witness = solve_array(scheme.gen_matrix.T, codeword, p)
     return QualifiedVerdict(True, witness)
@@ -433,9 +467,8 @@ def is_qualified_dual(scheme: SchemeInstance, subset: Sequence[int]) -> Qualifie
 
 def is_qualified_clx(scheme: SchemeInstance, subset: Sequence[int]) -> QualifiedVerdict:
     """Group-law oracle (elliptic curves only); no function witness."""
-    s_idx = _check_subset(scheme, subset)
-    a_idx = _complement(scheme, s_idx)
-    return QualifiedVerdict(_clx_qualified(scheme, a_idx))
+    a_idx = _complement(scheme, _check_subset(scheme, subset))
+    return QualifiedVerdict(_decide_one(scheme, a_idx, "clx"))
 
 
 def privacy_check(scheme: SchemeInstance, subset: Sequence[int]) -> PrivacyVerdict:
@@ -445,7 +478,7 @@ def privacy_check(scheme: SchemeInstance, subset: Sequence[int]) -> PrivacyVerdi
     the subset's columns; that is the dual oracle's solvability test.
     """
     a_idx = _complement(scheme, _check_subset(scheme, subset))
-    if _dual_qualified(scheme, a_idx):
+    if _decide_one(scheme, a_idx, "dual"):
         return PrivacyVerdict.DETERMINES_SECRET
     return PrivacyVerdict.ZERO_INFORMATION
 
@@ -467,7 +500,8 @@ def enumerate_access(scheme: SchemeInstance, t: int, oracle: str = "kernel") -> 
     if oracle not in _ORACLES:
         raise ValueError(f"unknown oracle {oracle!r}; choose from {ORACLE_NAMES}")
     qualified = 0
-    for combo in combinations(range(n), t):
-        if _decide(scheme, np.array(combo, dtype=np.int64), oracle):
-            qualified += 1
+    combos = combinations(range(n), t)
+    while block := list(islice(combos, DECIDE_BLOCK)):
+        a_block = np.array(block, dtype=np.int64).reshape(len(block), t)
+        qualified += int(_decide(scheme, a_block, oracle).sum())
     return AccessCount(qualified, total)

@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+
+from agss import experiments
 
 from agss.curves import affine_points, elliptic_curve, enumerate_points, group_structure, hyperelliptic_curve
 from agss.groups import (
@@ -13,7 +16,15 @@ from agss.groups import (
     log_generalized_binomial,
     subset_sum_table,
 )
-from agss.scheme import DegreeOutOfRangeError, WrongGenusError, enumerate_access, scheme_build
+from agss.scheme import (
+    DECIDE_BLOCK,
+    DegreeOutOfRangeError,
+    WrongGenusError,
+    _decide,
+    _kernel_qualified,
+    enumerate_access,
+    scheme_build,
+)
 from agss.experiments import (
     ExperimentConfig,
     RegimeMismatchError,
@@ -96,6 +107,39 @@ def test_mc_determinism_and_oracle_pairing():
     d = mc_proportion(sch, t, 1500, seed=42, oracle="dual")
     c = mc_proportion(sch, t, 1500, seed=42, oracle="clx")
     assert a.qualified == d.qualified == c.qualified
+
+
+def _mc_complements_one_by_one(n, t, seed_seq, count):
+    """The sampled complements, one ``integers`` call and one partial
+    Fisher-Yates shuffle per sample."""
+    rng = np.random.default_rng(seed_seq)
+    out = []
+    for _ in range(count):
+        arr = np.arange(n)
+        if t:
+            js = rng.integers(np.arange(t), n)
+            for i in range(t):
+                j = int(js[i])
+                arr[i], arr[j] = arr[j], arr[i]
+        out.append(arr[:t].tolist())
+    return out
+
+
+def test_mc_blocks_draw_the_one_by_one_stream(monkeypatch):
+    sch = small_genus2_scheme()
+    seen = []
+
+    def record(scheme, a_block, oracle):
+        seen.extend(a_block.tolist())
+        return _decide(scheme, a_block, oracle)
+
+    monkeypatch.setattr(experiments, "_decide", record)
+    # counts that leave a partial block, and t = 0 (no draws)
+    for t, count in [(sch.m, 3 * DECIDE_BLOCK + 5), (sch.m - 2, DECIDE_BLOCK - 1), (0, 5)]:
+        seen.clear()
+        hits = experiments._mc_chunk(sch, t, (9, t), count, "kernel")
+        assert seen == _mc_complements_one_by_one(sch.n, t, (9, t), count)
+        assert hits == sum(_kernel_qualified(sch, a) for a in seen)
 
 
 def test_mc_covers_exact_value():

@@ -12,7 +12,10 @@ from agss.field import (
     matvec_array,
     rank_array,
     rref_array,
+    solvable_array,
+    solvable_stack,
     solve_array,
+    stack_dtype,
 )
 
 
@@ -217,3 +220,116 @@ def test_elimination_near_the_field_cap_on_larger_matrices():
             r, pivots = rref_array(a, p)
             ref, ref_pivots = reference_rref(a, p)
             assert pivots == ref_pivots and np.array_equal(r, ref)
+
+
+def _solvable_by_rank(a, b, p):
+    """Reference: a x = b is solvable iff appending b keeps the rank."""
+    return rank_array(a, p) == rank_array(np.hstack([a, b[:, None]]), p)
+
+
+def _exact_product(a, b, p):
+    # object dtype keeps the product exact for p near 2^31
+    return (np.asarray(a).astype(object) @ np.asarray(b).astype(object) % p).astype(np.int64)
+
+
+# 46337 is the largest prime with an int32 stack, whose delay is 1, so the
+# stack is reduced after every column; p near 2^31 takes int64 with delay 2
+STACK_PRIMES = (5, 101, 211, 46337, 2**31 - 1)
+
+
+@st.composite
+def system_stacks(draw):
+    """(p, a, b): a B x R x C stack of mixed-rank systems with zero padding.
+
+    Per system: random or low-rank entries; some rows and columns zeroed
+    as padding; optionally a zero first column, so row 0 pivots only
+    later; and a right-hand side drawn at random, from the span, or from
+    the last column alone (decided only when the loop reaches it).
+    """
+    p = draw(st.sampled_from(STACK_PRIMES))
+    count, rows, cols = draw(st.integers(1, 5)), draw(st.integers(0, 7)), draw(st.integers(0, 7))
+
+    def entries(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size)),
+                        dtype=np.int64).reshape(shape)
+
+    def mask(size):
+        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+
+    a = np.zeros((count, rows, cols), dtype=np.int64)
+    b = np.zeros((count, rows), dtype=np.int64)
+    for k in range(count):
+        if draw(st.booleans()):
+            rank = draw(st.integers(0, min(rows, cols)))
+            a[k] = _exact_product(entries(rows, rank), entries(rank, cols), p)
+        else:
+            a[k] = entries(rows, cols)
+        a[k][mask(rows), :] = 0
+        a[k][:, mask(cols)] = 0
+        if cols and draw(st.booleans()):
+            a[k][:, 0] = 0
+        rhs = draw(st.sampled_from(["random", "span", "last"]))
+        if rhs == "random" or not cols:
+            b[k] = entries(rows)
+        elif rhs == "span":
+            b[k] = _exact_product(a[k], entries(cols), p)
+        else:
+            b[k] = _exact_product(a[k][:, -1:], entries(1), p)
+            if rows and draw(st.booleans()):
+                b[k][-1] = (b[k][-1] + 1) % p
+    return p, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(system_stacks())
+def test_solvable_stack_matches_the_rank_test(pab):
+    p, a, b = pab
+    before = (a.copy(), b.copy())
+    got = solvable_stack(a, b, p)
+    assert np.array_equal(a, before[0]) and np.array_equal(b, before[1])  # inputs not mutated
+    assert got.dtype == bool and got.shape == (len(a),)
+    want = [_solvable_by_rank(a[k], b[k], p) for k in range(len(a))]
+    assert got.tolist() == want
+    # a stack of one gives each system's verdict on its own
+    assert [solvable_array(a[k], b[k], p) for k in range(len(a))] == want
+
+
+def test_solvable_stack_examples():
+    # column 0 has no pivot; row 0 must survive to pivot column 1, where it
+    # contradicts row 1 (x1 = 1 and x1 = 2)
+    a = np.array([[[0, 1], [0, 1]], [[1, 0], [0, 0]]])
+    assert solvable_stack(a, [[1, 2], [3, 0]], 5).tolist() == [False, True]
+    assert solvable_stack(a, [[2, 2], [3, 1]], 5).tolist() == [True, False]
+    # no equations: always solvable; no unknowns: solvable iff b = 0
+    assert solvable_stack(np.zeros((2, 0, 3)), np.zeros((2, 0)), 7).tolist() == [True, True]
+    assert solvable_stack(np.zeros((2, 2, 0)), [[0, 0], [0, 7]], 7).tolist() == [True, True]
+    assert solvable_stack(np.zeros((2, 2, 0)), [[0, 0], [0, 3]], 7).tolist() == [True, False]
+    # the rhs broadcasts over the stack
+    assert solvable_stack(np.stack([np.eye(2), np.zeros((2, 2))]), [1, 1], 5).tolist() == [True, False]
+    with pytest.raises(ValueError):
+        solvable_stack(np.eye(2), [1, 1], 5)
+    with pytest.raises(ValueError):
+        solvable_stack(np.zeros((1, 2, 2)), [1, 1, 1], 5)
+
+
+def test_stack_dtype_follows_p():
+    assert stack_dtype(46337) == np.int32  # (p - 1)^2 + p < 2^31
+    assert stack_dtype(46349) == np.int64
+    assert stack_dtype(2**31 - 1) == np.int64
+
+
+def test_solvable_stack_on_systems_longer_than_the_delay():
+    # 60 columns: at p = 46337 (int32) and p near 2^31 (int64) the stack is
+    # reduced several times inside one elimination
+    rng = np.random.default_rng(41)
+    for p in (211, 46337, 2**31 - 1):
+        a = np.empty((4, 60, 60), dtype=np.int64)
+        for k, rank in enumerate((60, 59, 45, 30)):
+            a[k] = _exact_product(rng.integers(0, p, size=(60, rank)), rng.integers(0, p, size=(rank, 60)), p)
+        span = np.stack([_exact_product(a[k], rng.integers(0, p, size=60), p) for k in range(4)])
+        off = rng.integers(0, p, size=(4, 60))
+        for b in (span, off):
+            want = [_solvable_by_rank(a[k], b[k], p) for k in range(4)]
+            assert solvable_stack(a, b, p).tolist() == want
+        assert all(solvable_stack(a, span, p))

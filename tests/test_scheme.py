@@ -20,6 +20,7 @@ from agss.groups import InstanceTooLargeError, subset_sum_count
 from agss.curves import group_structure
 from agss.experiments import find_hyperelliptic_curve, standard_scheme
 from agss.scheme import (
+    DECIDE_BLOCK,
     DegreeOutOfRangeError,
     DuplicatePointError,
     NotQualifiedError,
@@ -406,6 +407,21 @@ def test_enumerate_access():
         group = table.group
         images = [table.log(pt) for pt in sch.players]
         assert ac.qualified == subset_sum_count(group, images, sch.m, group.identity)
+
+
+def test_genus2_kernel_and_dual_agree_exhaustively_in_blocks():
+    # every size t, so the totals C(n, t) include ones that are not a
+    # multiple of DECIDE_BLOCK and end in a partial block
+    schemes = [build_genus2_scheme(), standard_scheme(find_hyperelliptic_curve(13), 0.5)]
+    for sch in schemes:
+        totals = [math.comb(sch.n, t) for t in range(sch.n + 1)]
+        assert any(total % DECIDE_BLOCK for total in totals)
+        for t in range(sch.n + 1):
+            kernel = enumerate_access(sch, t, "kernel")
+            assert kernel == enumerate_access(sch, t, "dual")
+            # the blocks count what one complement at a time counts
+            one_by_one = sum(_kernel_qualified(sch, a) for a in itertools.combinations(range(sch.n), t))
+            assert kernel.qualified == one_by_one
 
 
 def test_enumerate_access_size_guard():
