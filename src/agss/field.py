@@ -249,9 +249,9 @@ def _solvable_stack(m: np.ndarray, p: int) -> np.ndarray:
 
     ``m`` is B x (C + 1) x R of dtype ``stack_dtype(p)`` with entries in
     [0, p), stored by columns: system k is sum_c x_c m[k, c] = m[k, C].
-    Per column, each system takes its first nonzero row as the pivot and
-    eliminates the column from every row, the pivot row included, which
-    leaves that row zero mod p so it is never picked again.  Only
+    Per column, each system pivots on the row holding the column's largest
+    residue and eliminates the column from every row, the pivot row
+    included, which leaves that row zero mod p so it is never picked again.  Only
     solvability is asked, so no row moves.  A system with no pivot in a
     column has a zero multiplier there and keeps all its rows.  Zero rows
     and zero columns are padding that changes no verdict.  A system is
@@ -274,13 +274,13 @@ def _solvable_stack(m: np.ndarray, p: int) -> np.ndarray:
         col %= p
         # any nonzero entry can pivot, so take the largest; it is 0 only in
         # a system with no pivot here, whose multiplier 0 makes its update 0
-        first = col.argmax(axis=1)
-        lead = col[at, first]
+        pivot = col.argmax(axis=1)
+        lead = col[at, pivot]
         if inverses is None:
             inv = np.array([pow(v, -1, p) if v else 0 for v in lead.tolist()], dtype=m.dtype)
         else:
             inv = inverses[lead]
-        pivot_row = m[at, c + 1:, first]
+        pivot_row = m[at, c + 1:, pivot]
         pivot_row %= p
         pivot_row *= inv[:, None]
         pivot_row %= p
