@@ -3,16 +3,21 @@
 A ``FieldElement`` is a value, not an arithmetic type: a canonical residue
 tagged with its field, so the dealing API can reject a value from another
 field (``FieldMismatchError``) instead of coercing it.  All arithmetic runs
-on plain ints and on int64 (or int32) arrays with entries reduced mod p.  Every matrix
-routine is canonical: one forward elimination loop picks the first nonzero
-pivot in column order, so identical inputs always produce bit-identical
-outputs.  That loop delays reduction mod p (Dumas, Giorgi, Pernet, ACM TOMS
-35(3), 2008): a step reduces only the pivot column and the pivot row, and
-the trailing block is reduced only as often as int64 exactness requires.
-Rank, RREF, kernel and solve run through it.  Solvability alone runs
-through ``solvable_stack``, which eliminates a whole stack of systems at
-once with the same delayed reduction, in int32 when p is small enough;
-``solvable_array`` and the row-space test are stacks of one.
+on plain ints and on int64 (or int32) arrays with entries reduced mod p.
+
+All elimination runs through one loop, ``_eliminate``: column reduction of
+a whole stack of systems at once, with no row moves, in int32 when p is
+small enough, reducing mod p only as often as exactness requires.  Entries
+below a system's equations are bookkeeping carried along by every column
+operation.  Solvability (``solvable_stack``, and ``solvable_array`` and the
+row-space test as stacks of one) reads whether the right-hand side ends
+zero.  Rank, RREF, kernel and solve reduce one matrix with the identity as
+bookkeeping and read the pivot columns and each free column's combination
+off the result.  Every matrix routine is canonical: the RREF, its pivot
+columns, the kernel basis with a 1 at each free column and zeros at the
+others, and the solution with its free variables set to 0 are unique, so
+they do not depend on which pivot the loop picks, and identical inputs
+always produce bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -105,127 +110,8 @@ class FieldElement:
 # ---------------------------------------------------------------------------
 # Array-level elimination.  All functions take entries already reduced mod p
 # (int64) and never mutate their arguments.  With p < 2^31 every product of
-# two residues fits in int64, and _forward_echelon bounds how many of them an
-# entry accumulates, so the arithmetic below is exact.
-
-def _forward_echelon(a: np.ndarray, p: int):
-    """Forward elimination with pivot rows normalized to 1.
-
-    Returns (m, pivots) where rows 0..len(pivots)-1 of m are an echelon
-    basis of the row space.  Columns left of each pivot are already zero,
-    so updates touch only the trailing block.
-
-    Reduction mod p is delayed: each step reduces only the pivot column
-    (to find the pivot) and the pivot row, and subtracts the rank-1 update
-    from the trailing block unreduced; the block is reduced after ``delay``
-    unreduced updates.  Every column is reduced when the loop reaches it and
-    only later columns are updated after that, so the result is the same as
-    with a reduction after every step.
-    """
-    m = np.array(a, dtype=np.int64) % p
-    rows, cols = m.shape
-    # an update moves an entry by less than (p - 1)^2, so an entry in [0, p)
-    # absorbs this many of them without leaving int64 (2 near p = 2^31)
-    delay = (2**63 - 1 - p) // (p - 1) ** 2
-    pending = 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        col = m[r:, c]
-        col %= p
-        nz = col.nonzero()[0]
-        if not nz.size:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        row = m[r, c:]
-        row %= p
-        row *= pow(int(row[0]), -1, p)
-        row %= p
-        m[r + 1:, c:] -= m[r + 1:, c, None] * row
-        pending += 1
-        if pending == delay:
-            m[r + 1:, c + 1:] %= p
-            pending = 0
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
-def rref_array(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p with first-nonzero pivoting.
-
-    Forward elimination, then back-substitution clears the entries above
-    each pivot.  Returns (canonical matrix, pivot column tuple).
-    """
-    m, pivots = _forward_echelon(a, p)
-    return _back_substitute(m, pivots, p), tuple(pivots)
-
-
-def _back_substitute(m: np.ndarray, pivots, p: int) -> np.ndarray:
-    """Clear the entries above each pivot of a forward echelon form, in place."""
-    for r, c in enumerate(pivots):
-        # row r is zero left of c, so earlier pivot columns stay unit vectors
-        col = m[:r, c]
-        if col.any():
-            m[:r, c:] -= np.outer(col, m[r, c:])
-            m[:r, c:] %= p
-    return m
-
-
-def rank_array(a: np.ndarray, p: int) -> int:
-    return len(_forward_echelon(a, p)[1])
-
-
-def kernel_array(a: np.ndarray, p: int) -> list[np.ndarray]:
-    """Canonical nullspace basis of a (one vector per free column)."""
-    return list(_kernel_from_rref(*rref_array(a, p), p))
-
-
-def _kernel_from_rref(r: np.ndarray, pivots, p: int) -> np.ndarray:
-    """The nullspace basis read off an RREF, one row per free column f:
-    a 1 at f and -r[i, f] at the i-th pivot column."""
-    cols = r.shape[1]
-    pivots = list(pivots)
-    pivot_set = set(pivots)
-    free = [f for f in range(cols) if f not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for j, f in enumerate(free):
-        basis[j, f] = 1
-        basis[j, pivots] = -r[:len(pivots), f] % p
-    return basis
-
-
-def _solve(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution of a x = b (free variables set to 0), or None.
-
-    One forward elimination of [a | b] decides solvability;
-    back-substitution runs only when a solution exists.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64).reshape(-1)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs length {b.shape[0]} != row count {a.shape[0]}")
-    m, pivots = _forward_echelon(np.hstack([a, b[:, None]]), p)
-    if a.shape[1] in pivots:
-        return None
-    r = _back_substitute(m, pivots, p)
-    x = np.zeros(m.shape[1] - 1, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, -1]
-    return x
-
-
-def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """One solution of a x = b (free variables set to 0), or NoSolutionError."""
-    x = _solve(a, b, p)
-    if x is None:
-        raise NoSolutionError("right-hand side is not in the column space")
-    return x
-
+# two residues fits in int64, and _eliminate bounds how many of them an entry
+# accumulates, so the arithmetic below is exact.
 
 def stack_dtype(p: int):
     """The dtype of a system stack over F_p: int32 while a residue product
@@ -244,24 +130,34 @@ def _inverse_table(p: int) -> np.ndarray:
     return table
 
 
-def _solvable_stack(m: np.ndarray, p: int) -> np.ndarray:
-    """Whether each augmented system of a stack is solvable; eliminates in place.
+def _eliminate(m: np.ndarray, p: int, rows: int) -> None:
+    """Column-reduce a stack of systems in place.
 
-    ``m`` is B x (C + 1) x R of dtype ``stack_dtype(p)`` with entries in
-    [0, p), stored by columns: system k is sum_c x_c m[k, c] = m[k, C].
-    Per column, each system pivots on the row holding the column's largest
-    residue and eliminates the column from every row, the pivot row
-    included, which leaves that row zero mod p so it is never picked again.  Only
-    solvability is asked, so no row moves.  A system with no pivot in a
-    column has a zero multiplier there and keeps all its rows.  Zero rows
-    and zero columns are padding that changes no verdict.  A system is
-    solvable iff its right-hand side ends zero mod p.  Reduction is delayed
-    as in ``_forward_echelon``: column c is reduced when the loop reaches
-    it, the rest of the stack after ``delay`` updates.
+    ``m`` is B x W x H of dtype ``stack_dtype(p)`` with entries in [0, p),
+    stored by columns: ``m[k, c]`` is column c of system k.  Its first
+    ``rows`` entries are equations; the entries below them are bookkeeping
+    that every column operation carries along.  Per column, each system
+    pivots on the equation holding the column's largest residue and
+    subtracts a multiple of the column from every later column so that the
+    pivot equation reads zero there; a pivot equation is never picked again.
+    Only column operations, so no row moves.  A system with no pivot in a
+    column has a zero multiplier there.
+
+    Afterwards every column is reduced mod p, and column c is a pivot
+    column iff it is nonzero on the equations.  A column that is zero there
+    is a combination of the columns left of it, and its bookkeeping
+    records which: with the identity as bookkeeping, it holds the unique
+    combination with a 1 at c and entries only at pivot columns left of c.
+    Zero equations and zero columns are padding that changes no pivot.
+
+    Reduction mod p is delayed (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
+    2008): column c is reduced when the loop reaches it and only later
+    columns are updated after that, so the rest of the stack is reduced
+    only after ``delay`` unreduced updates.
     """
-    stacks, width, rows = m.shape
+    stacks, width, _ = m.shape
     if not rows:
-        return np.ones(stacks, dtype=bool)
+        return
     # an update moves an entry by at most (p - 1)^2, so an entry in [0, p)
     # absorbs this many of them without leaving the dtype: 48 695 at
     # p = 211 (int32), 1 at p = 46 337 (int32), 2 near 2^31 (int64)
@@ -274,7 +170,7 @@ def _solvable_stack(m: np.ndarray, p: int) -> np.ndarray:
         col %= p
         # any nonzero entry can pivot, so take the largest; it is 0 only in
         # a system with no pivot here, whose multiplier 0 makes its update 0
-        pivot = col.argmax(axis=1)
+        pivot = col[:, :rows].argmax(axis=1)
         lead = col[at, pivot]
         if inverses is None:
             inv = np.array([pow(v, -1, p) if v else 0 for v in lead.tolist()], dtype=m.dtype)
@@ -289,14 +185,91 @@ def _solvable_stack(m: np.ndarray, p: int) -> np.ndarray:
         if pending == delay:
             m[:, c + 1:] %= p
             pending = 0
-    return ~(m[:, -1] % p).any(axis=1)
+    # the last column has no later column to update
+    m[:, -1:] %= p
+
+
+def _reduce(a: np.ndarray, p: int):
+    """Column-reduce one R x C matrix with the identity as bookkeeping.
+
+    Returns (is_pivot, book): bool[C] marking the pivot columns, and the
+    C x C bookkeeping (of ``stack_dtype(p)``), whose row c is column c's
+    combination.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    if a.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {a.shape}")
+    rows, cols = a.shape
+    m = np.zeros((1, cols, rows + cols), dtype=stack_dtype(p))
+    m[0, :, :rows] = a.T % p
+    m[0, np.arange(cols), rows + np.arange(cols)] = 1
+    _eliminate(m, p, rows)
+    return m[0, :, :rows].any(axis=1), m[0, :, rows:]
+
+
+def _kernel_basis(a: np.ndarray, p: int):
+    """(canonical nullspace basis, pivot columns) of a, from one column
+    reduction: row j of the basis is the bookkeeping of the j-th free
+    column f, i.e. a 1 at f and entries only at pivot columns left of f."""
+    is_pivot, book = _reduce(a, p)
+    return book[~is_pivot].astype(np.int64), tuple(np.flatnonzero(is_pivot).tolist())
+
+
+def rref_array(a: np.ndarray, p: int):
+    """Reduced row echelon form mod p and its pivot column tuple.
+
+    Read off the canonical kernel: row i of the RREF has a 1 at the i-th
+    pivot column and, at each free column f, minus the kernel vector of f
+    at that pivot column.
+    """
+    is_pivot, book = _reduce(a, p)
+    pivots = np.flatnonzero(is_pivot)
+    r = np.zeros(np.shape(a), dtype=np.int64)
+    r[np.arange(len(pivots)), pivots] = 1
+    r[:len(pivots), ~is_pivot] = -book[~is_pivot][:, pivots].T % p
+    return r, tuple(pivots.tolist())
+
+
+def rank_array(a: np.ndarray, p: int) -> int:
+    return int(_reduce(a, p)[0].sum())
+
+
+def kernel_array(a: np.ndarray, p: int) -> list[np.ndarray]:
+    """Canonical nullspace basis of a (one vector per free column)."""
+    return list(_kernel_basis(a, p)[0])
+
+
+def _solve(a: np.ndarray, b: np.ndarray, p: int):
+    """One solution of a x = b (free variables set to 0), or None.
+
+    One column reduction of [a | b]: the system is solvable iff b is not a
+    pivot column, and then b's bookkeeping, 1 at b and minus x at the pivot
+    columns of a, gives the solution.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64).reshape(-1)
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"rhs length {b.shape[0]} != row count {a.shape[0]}")
+    is_pivot, book = _reduce(np.hstack([a, b[:, None]]), p)
+    if is_pivot[-1]:
+        return None
+    return (-book[-1, :-1] % p).astype(np.int64)
+
+
+def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """One solution of a x = b (free variables set to 0), or NoSolutionError."""
+    x = _solve(a, b, p)
+    if x is None:
+        raise NoSolutionError("right-hand side is not in the column space")
+    return x
 
 
 def solvable_stack(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Whether a[k] x = b[k] has a solution, for each system k of a stack.
 
     ``a`` is B x R x C and ``b`` is B x R (or broadcasts to it); returns
-    bool[B].  Forward elimination only, one pass for the whole stack.
+    bool[B].  One column reduction of the whole stack: system k is solvable
+    iff its right-hand side, the last column, is not a pivot column.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 3:
@@ -308,7 +281,8 @@ def solvable_stack(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     m = np.empty((stacks, cols + 1, rows), dtype=stack_dtype(p))
     m[:, :cols] = a.transpose(0, 2, 1) % p
     m[:, cols] = b % p
-    return _solvable_stack(m, p)
+    _eliminate(m, p, rows)
+    return ~m[:, -1].any(axis=1)
 
 
 def solvable_array(a: np.ndarray, b: np.ndarray, p: int) -> bool:

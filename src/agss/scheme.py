@@ -49,14 +49,13 @@ from .field import (
     FieldElement,
     FieldMismatchError,
     NoSolutionError,
-    _kernel_from_rref,
-    _solvable_stack,
+    _eliminate,
+    _kernel_basis,
     _solve,
     in_row_space,  # unused here, but bench/probes.py wraps agss.scheme.in_row_space
     kernel_array,  # unused here, but bench/probes.py wraps agss.scheme.kernel_array
     matvec_array,
     rank_array,  # unused here, but bench/probes.py wraps agss.scheme.rank_array
-    rref_array,
     solvable_array,  # unused here, but bench/probes.py wraps agss.scheme.solvable_array
     solvable_stack,
     solve_array,
@@ -243,8 +242,7 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
     cols = [eval_basis(curve, basis, pt) for pt in pts]
     gen = np.array(cols, dtype=np.int64).T.copy()  # rows = basis functions, cols = points
 
-    rref, pivots = rref_array(gen, p)
-    omega = _kernel_from_rref(rref, pivots, p)
+    omega, pivots = _kernel_basis(gen, p)
     # nullity = (n + 1) - rank, so full row rank is exactly this kernel size
     if omega.shape[0] != gen.shape[1] - len(basis):
         raise RuntimeError("evaluation matrix lost rank; invalid configuration")
@@ -377,7 +375,8 @@ def _kernel_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
     columns[:, :-1] = np.argsort(~used, axis=1, kind="stable")[:, :free.max()]
     columns[:, :-1][np.arange(free.max()) >= free[:, None]] = len(free_cols)
     stack = table[columns[:, :, None], rows[:, None, :]]
-    return ~_solvable_stack(stack, scheme.field.p)
+    _eliminate(stack, scheme.field.p, stack.shape[2])
+    return stack[:, -1].any(axis=1)
 
 
 def _kernel_qualified(scheme: SchemeInstance, a_idx) -> bool:

@@ -287,7 +287,7 @@ def test_experiment_exact_mode_builds_no_code_matrices(tmp_path, capsys, monkeyp
         raise AssertionError("exact mode built a code matrix")
 
     monkeypatch.setattr("agss.experiments.scheme_build", refuse)
-    monkeypatch.setattr("agss.scheme.rref_array", refuse)
+    monkeypatch.setattr("agss.scheme._kernel_basis", refuse)
     out = tmp_path / "theorem3.csv"
     code, _, _ = run(capsys, "experiment", "--config", str(ROOT / "configs/theorem3.ini"), "--out", str(out))
     assert code == 0

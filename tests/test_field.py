@@ -174,8 +174,8 @@ def test_rref_properties_pin_the_canonical_form(pa):
 
 def reference_rref(a, p):
     """Gauss-Jordan on Python ints, reducing every entry after every step."""
+    rows, cols = np.shape(a)
     m = [[int(x) % p for x in row] for row in a]
-    rows, cols = len(m), len(m[0])
     pivots = []
     for c in range(cols):
         r = len(pivots)
@@ -190,11 +190,53 @@ def reference_rref(a, p):
                 f = m[j][c]
                 m[j] = [(x - f * y) % p for x, y in zip(m[j], m[r])]
         pivots.append(c)
-    return np.array(m, dtype=np.int64), tuple(pivots)
+    return np.array(m, dtype=np.int64).reshape(rows, cols), tuple(pivots)
 
 
-# 2^31 - 1 and 1753413037 let an int64 entry absorb only 2 and 3 unreduced
-# updates, so the delayed reduction must fire inside an 8 x 8 elimination
+def reference_kernel(a, p):
+    """The nullspace basis read off the reference RREF, one vector per free
+    column f: a 1 at f and minus RREF[i, f] at the i-th pivot column."""
+    ref, pivots = reference_rref(a, p)
+    basis = []
+    for f in (c for c in range(np.shape(a)[1]) if c not in pivots):
+        v = np.zeros(np.shape(a)[1], dtype=np.int64)
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -ref[i, f] % p
+        basis.append(v)
+    return basis
+
+
+def reference_solve(a, b, p):
+    """The solution of a x = b with free variables 0, read off the reference
+    RREF of [a | b], or None when b is a pivot column."""
+    cols = np.shape(a)[1]
+    ref, pivots = reference_rref(np.hstack([a, np.reshape(b, (-1, 1))]), p)
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x[c] = ref[i, -1]
+    return x
+
+
+def _residues(data, p, size):
+    return np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size)), dtype=np.int64)
+
+
+def _assert_solve_matches_the_reference(a, b, p):
+    want = reference_solve(a, b, p)
+    if want is None:
+        with pytest.raises(NoSolutionError):
+            solve_array(a, b, p)
+    else:
+        got = solve_array(a, b, p)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+# 2^31 - 1 and 1753413037 take int64 stacks, whose entries absorb only 2 and
+# 3 unreduced updates, so the delayed reduction must fire inside an 8 x 8
+# elimination; 101 takes int32 stacks
 @settings(max_examples=300, deadline=None)
 @given(small_matrices(primes=(2**31 - 1, 1753413037, 101)), st.data())
 def test_elimination_near_the_field_cap_matches_a_reference(pa, data):
@@ -203,11 +245,35 @@ def test_elimination_near_the_field_cap_matches_a_reference(pa, data):
     ref, ref_pivots = reference_rref(a, p)
     assert pivots == ref_pivots and np.array_equal(r, ref)
     assert rank_array(a, p) == len(ref_pivots)
+    kern, want = kernel_array(a, p), reference_kernel(a, p)
+    assert len(kern) == len(want) and all(np.array_equal(v, w) for v, w in zip(kern, want))
     # vec is in the row space iff appending it keeps the reference rank
-    vec = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=a.shape[1], max_size=a.shape[1])), dtype=np.int64)
+    vec = _residues(data, p, a.shape[1])
     grown = len(reference_rref(np.vstack([a, vec[None, :]]), p)[1])
     assert in_row_space(a, vec, p) == (grown == len(ref_pivots))
     assert in_row_space(a, a[-1], p)
+    # a random rhs, and one in the column space
+    _assert_solve_matches_the_reference(a, _residues(data, p, a.shape[0]), p)
+    _assert_solve_matches_the_reference(a, _exact_product(a, _residues(data, p, a.shape[1]), p), p)
+
+
+@pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_empty_shapes_match_the_reference(shape, p):
+    a = np.zeros(shape, dtype=np.int64)
+    ref, ref_pivots = reference_rref(a, p)
+    r, pivots = rref_array(a, p)
+    assert np.array_equal(r, ref) and r.shape == shape and pivots == ref_pivots == ()
+    assert rank_array(a, p) == 0
+    kern, want = kernel_array(a, p), reference_kernel(a, p)
+    assert len(kern) == len(want) == shape[1] and all(np.array_equal(v, w) for v, w in zip(kern, want))
+    _assert_solve_matches_the_reference(a, np.zeros(shape[0], dtype=np.int64), p)
+    assert solvable_array(a, np.zeros(shape[0], dtype=np.int64), p)
+    if shape[0]:
+        # no unknowns and a nonzero rhs: no solution
+        b = np.arange(1, shape[0] + 1)
+        _assert_solve_matches_the_reference(a, b, p)
+        assert not solvable_array(a, b, p)
 
 
 def test_elimination_near_the_field_cap_on_larger_matrices():
@@ -224,7 +290,8 @@ def test_elimination_near_the_field_cap_on_larger_matrices():
 
 def _solvable_by_rank(a, b, p):
     """Reference: a x = b is solvable iff appending b keeps the rank."""
-    return rank_array(a, p) == rank_array(np.hstack([a, b[:, None]]), p)
+    rank = len(reference_rref(a, p)[1])
+    return rank == len(reference_rref(np.hstack([a, b[:, None]]), p)[1])
 
 
 def _exact_product(a, b, p):

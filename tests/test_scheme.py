@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import pickle
@@ -18,7 +19,7 @@ from agss import field
 from agss.field import FieldMismatchError, PrimeField, in_row_space, matvec_array, rank_array
 from agss.groups import InstanceTooLargeError, subset_sum_count
 from agss.curves import group_structure
-from agss.experiments import find_hyperelliptic_curve, standard_scheme
+from agss.experiments import find_elliptic_curve, find_hyperelliptic_curve, standard_scheme
 from agss.scheme import (
     DECIDE_BLOCK,
     DegreeOutOfRangeError,
@@ -201,22 +202,31 @@ def test_oracles_agree_exhaustively_and_witnesses_check_out():
                     assert int((sch.p0_row * w % p).sum() % p) != 0
 
 
+def _count_eliminations(monkeypatch):
+    """Record (stack shape, equation count) of every call into the one
+    elimination loop."""
+    calls = []
+    eliminate = field._eliminate
+
+    def counting(m, p, rows):
+        calls.append((m.shape, rows))
+        return eliminate(m, p, rows)
+
+    monkeypatch.setattr(field, "_eliminate", counting)
+    return calls
+
+
 def test_qualified_dual_eliminates_the_subset_system_once(monkeypatch):
     sch = build_f13_scheme()
-    calls = []
-    forward = field._forward_echelon
-
-    def counting(a, p):
-        calls.append(np.shape(a))
-        return forward(a, p)
-
-    monkeypatch.setattr(field, "_forward_echelon", counting)
+    calls = _count_eliminations(monkeypatch)
     s = list(range(sch.n - sch.m + 2))
     verdict = is_qualified_dual(sch, s)
     assert verdict.qualified
-    # one elimination of the S-column system, one to lift the word to a function
+    # one elimination of the S-column system, one to lift the word to a
+    # function: gen^T c = word, n + 1 equations in dim_code + 1 columns
+    # (the rhs included) with that many bookkeeping entries below them
     assert len(calls) == 2
-    assert calls[1] == (sch.n + 1, sch.dim_code + 1)
+    assert calls[1] == ((1, sch.dim_code + 1, sch.n + 1 + sch.dim_code + 1), sch.n + 1)
     calls.clear()
     assert not is_qualified_dual(sch, []).qualified
     assert len(calls) == 1
@@ -225,16 +235,39 @@ def test_qualified_dual_eliminates_the_subset_system_once(monkeypatch):
 def test_scheme_build_eliminates_the_evaluation_matrix_once(monkeypatch):
     curve = elliptic_curve(13, 1, 1)
     pts = affine_points(curve)
-    calls = []
-    forward = field._forward_echelon
-
-    def counting(a, p):
-        calls.append(np.shape(a))
-        return forward(a, p)
-
-    monkeypatch.setattr(field, "_forward_echelon", counting)
+    calls = _count_eliminations(monkeypatch)
     sch = scheme_build(curve, pts[0], pts[1:], 5)
-    assert calls == [sch.gen_matrix.shape]
+    # the dim_code x (n + 1) evaluation matrix, stored by columns with the
+    # (n + 1) x (n + 1) bookkeeping below its equations
+    assert calls == [((1, sch.n + 1, sch.dim_code + sch.n + 1), sch.dim_code)]
+
+
+def _code_basis_digest(sch):
+    h = hashlib.sha256()
+    for arr in (sch.gen_matrix, sch.omega_matrix, np.array(sch.pivots, dtype=np.int64)):
+        arr = np.ascontiguousarray(arr, dtype="<i8")
+        h.update(repr(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_scheme_build_code_bases_are_pinned():
+    # share output depends on omega_matrix's bytes, so the canonical bases
+    # of the criterion-1 scheme and the preset schemes are pinned
+    curve = elliptic_curve(13, 1, 1)
+    pts = affine_points(curve)
+    schemes = {
+        "E/F_13, m=5": scheme_build(curve, pts[0], pts[1:], 5),
+        "theorem4 q=101": standard_scheme(find_hyperelliptic_curve(101, 2), 0.5),
+        "theorem4 q=211": standard_scheme(find_hyperelliptic_curve(211, 2), 0.5),
+        "theorem3 q=401": standard_scheme(find_elliptic_curve(401), 0.5),
+    }
+    assert {name: _code_basis_digest(sch) for name, sch in schemes.items()} == {
+        "E/F_13, m=5": "8c7be4c41da31720149fe143bf113dfcaef419b5c164e0f43a6bb370cda0c5c5",
+        "theorem4 q=101": "a37ced074b0582ef6701fe2e8a39b8bdd49af6927ea51f7b606bd861eea1a2e1",
+        "theorem4 q=211": "4faee05bb7756bee7d8f0c4cfe7cfadeb38f796c60bcab6fedc90332d6745a3d",
+        "theorem3 q=401": "32a5e3e4bffc1257107cd5d17ecfa77d6c2fc03fff2ca11a1bfdcca5c8e5f9f5",
+    }
 
 
 def test_share_rejects_a_secret_from_another_field():
