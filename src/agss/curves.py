@@ -5,7 +5,8 @@ Two families:
 * short Weierstrass elliptic curves ``y^2 = x^3 + a x + b`` (genus 1), which
   additionally carry the chord-tangent group law; ``group_structure``
   presents their point group as an ``AbelianGroup`` with a full
-  discrete-log table;
+  discrete-log table, reading the generators off the first points in
+  enumeration order (``groups.two_generator_table``);
 * odd-degree hyperelliptic curves ``y^2 = f(x)`` with ``deg f = 2g + 1``
   (genus g >= 2), used purely through linear algebra downstream.
 
@@ -17,13 +18,12 @@ which is what the code constructions downstream consume.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .field import PrimeField
-from .groups import AbelianGroup
+from .groups import AbelianGroup, two_generator_table
 
 
 class SingularCurveError(Exception):
@@ -307,27 +307,6 @@ def affine_points(curve: Curve) -> tuple[AffinePoint, ...]:
 
 # --- elliptic group structure ------------------------------------------------
 
-def _factorize(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
-
-
-def _point_order(curve: EllipticCurve, pt: Point, group_order: int, primes) -> int:
-    order = group_order
-    for q in primes:
-        while order % q == 0 and is_infinity(curve.scalar_mul(order // q, pt)):
-            order //= q
-    return order
-
-
 @dataclass(eq=False)
 class GroupTable:
     """An elliptic point group as ``group`` = Z_d1 x Z_d2 (d1 | d2, both
@@ -353,47 +332,17 @@ class GroupTable:
 
 @functools.lru_cache(maxsize=None)
 def group_structure(curve: EllipticCurve) -> GroupTable:
-    """Compute Z_d1 x Z_d2 with d1 | d2 and a complete discrete-log table.
+    """The point group as Z_d1 x Z_d2 (d1 | d2) with a complete discrete-log table.
 
-    Exhaustive order computation plus a two-generator product table; intended
-    for desk-scale groups, no point-counting shortcuts.  A cyclic group takes
-    the identity as its first generator.
+    ``groups.two_generator_table`` on the points in ``enumerate_points``
+    order with the chord-tangent law: g2 is the first point of maximal
+    order, g1 the first point of order d1 whose multiples miss <g2>, so
+    only the first points are ordered, and the table is one walk over the
+    N products u g1 + v g2.  A cyclic group takes the identity as g1.
     """
     pts = enumerate_points(curve)
-    n = len(pts)
-    primes = sorted(_factorize(n))
-    orders = {pt: _point_order(curve, pt, n, primes) for pt in pts}
-    exponent = 1
-    for o in orders.values():
-        exponent = exponent * o // math.gcd(exponent, o)
-    d2 = exponent
-    d1 = n // d2
-
-    g2 = next(pt for pt in pts if orders[pt] == d2)
-    multiples = []
-    q: Point = INFINITY
-    for _ in range(d2):
-        multiples.append(q)
-        q = curve._add_raw(q, g2)
-    for cand in pts:
-        if orders[cand] != d1:
-            continue
-        dlog: dict[Point, tuple[int, int]] = {}
-        base: Point = INFINITY
-        ok = True
-        for u in range(d1):
-            for v, mv in enumerate(multiples):
-                pt2 = curve._add_raw(base, mv)
-                if pt2 in dlog:
-                    ok = False
-                    break
-                dlog[pt2] = (u, v)
-            if not ok:
-                break
-            base = curve._add_raw(base, cand)
-        if ok and len(dlog) == n:
-            return GroupTable(curve, AbelianGroup((d1, d2)), dlog)
-    raise RuntimeError("no generator pair found; group structure computation failed")
+    group, dlog = two_generator_table(len(pts), pts, curve._add_raw, INFINITY)
+    return GroupTable(curve, group, dlog)
 
 
 # --- function space bases ----------------------------------------------------

@@ -189,20 +189,22 @@ def _eliminate(m: np.ndarray, p: int, rows: int) -> None:
     m[:, -1:] %= p
 
 
-def _reduce(a: np.ndarray, p: int):
-    """Column-reduce one R x C matrix with the identity as bookkeeping.
+def _reduce(a: np.ndarray, p: int, book: bool = True):
+    """Column-reduce one R x C matrix, with the identity as bookkeeping
+    unless ``book`` is false.
 
     Returns (is_pivot, book): bool[C] marking the pivot columns, and the
     C x C bookkeeping (of ``stack_dtype(p)``), whose row c is column c's
-    combination.
+    combination; C x 0 without bookkeeping.
     """
     a = np.asarray(a, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
     rows, cols = a.shape
-    m = np.zeros((1, cols, rows + cols), dtype=stack_dtype(p))
+    m = np.zeros((1, cols, rows + (cols if book else 0)), dtype=stack_dtype(p))
     m[0, :, :rows] = a.T % p
-    m[0, np.arange(cols), rows + np.arange(cols)] = 1
+    if book:
+        m[0, np.arange(cols), rows + np.arange(cols)] = 1
     _eliminate(m, p, rows)
     return m[0, :, :rows].any(axis=1), m[0, :, rows:]
 
@@ -231,7 +233,8 @@ def rref_array(a: np.ndarray, p: int):
 
 
 def rank_array(a: np.ndarray, p: int) -> int:
-    return int(_reduce(a, p)[0].sum())
+    """Rank of a mod p: its pivot count, from a reduction without bookkeeping."""
+    return int(_reduce(a, p, book=False)[0].sum())
 
 
 def kernel_array(a: np.ndarray, p: int) -> list[np.ndarray]:

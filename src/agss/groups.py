@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -176,6 +176,107 @@ class Character:
     def __call__(self, a: GroupElement) -> complex:
         phase = sum(v * x / d for v, x, d in zip(self.exponents, a, self.group.factors))
         return complex(np.exp(2j * np.pi * phase))
+
+
+# --- a group presented from its order ------------------------------------------
+
+def _factorize(n: int) -> dict[int, int]:
+    """{prime: exponent} of n >= 1, by trial division."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def two_generator_table(
+    order: int, elements: Iterable[Hashable], add: Callable, identity: Hashable
+) -> tuple[AbelianGroup, dict]:
+    """Present a group of known order as Z_d1 x Z_d2 (d1 | d2) with a
+    discrete-log table, reading the structure off the first elements.
+
+    ``elements`` streams the whole group in a fixed order, identity first,
+    and ``add`` is its law.  Walking the stream, each element whose order L
+    exceeds every order before it, with (N/L) | L for N = ``order``, is
+    tried as g2; then g1 is the first element in stream order of order N/L
+    none of whose multiples u g1, 0 < u < N/L, lies in <g2>.  Such a g1
+    makes (u, v) -> u g1 + v g2 injective, so it certifies
+    G = Z_{N/L} x Z_L and L is the exponent (Teske, Math. Comp. 67 (1998)
+    1637-1663, for reading the structure off a few elements).  Hence g2 is
+    the first element of maximal order and g1 the first element that
+    completes it, and the walk stops there.  Orders are computed lazily by
+    double-and-add: one multiple tells whether an element's order divides
+    the running maximum, and only an element whose order does not, or a g1
+    candidate, is ordered against the factorisation of N.  Returns the
+    group and the table {u g1 + v g2: (u, v)}; a stream that no two such
+    generators present raises ValueError.
+    """
+    primes = _factorize(order)
+
+    def multiple(k: int, x):
+        acc = identity
+        while k:
+            if k & 1:
+                acc = add(acc, x)
+            x = add(x, x)
+            k >>= 1
+        return acc
+
+    def divides(k: int, x) -> bool:
+        # whether the order of x divides k
+        return multiple(k, x) == identity
+
+    def element_order(x) -> int:
+        o = order
+        for q in primes:
+            while o % q == 0 and divides(o // q, x):
+                o //= q
+        return o
+
+    seen = []
+    best, g2 = 0, None
+    for x in elements:
+        seen.append(x)
+        if best and divides(best, x):
+            candidates = [x]  # no new maximum; a g1 candidate if its order is d1
+        else:
+            o = element_order(x)
+            if o < best:
+                continue  # its order does not divide best, so it is not d1
+            best, d1 = o, order // o
+            g2 = x if o % d1 == 0 else None
+            span: dict = {}  # v g2 -> v, walked once a g1 candidate turns up
+            candidates = seen
+        if g2 is None:
+            continue
+        for g1 in candidates:
+            if not divides(d1, g1) or element_order(g1) != d1:
+                continue
+            if not span:
+                y = identity
+                for v in range(best):
+                    span[y] = v
+                    y = add(y, g2)
+            # no u g1 with 0 < u < d1 in <g2> makes the product map injective
+            y = g1
+            for _ in range(d1 - 1):
+                if y in span:
+                    break
+                y = add(y, g1)
+            else:
+                dlog = {pt: (0, v) for pt, v in span.items()}
+                base = identity
+                for u in range(1, d1):
+                    base = add(base, g1)
+                    for pt, v in span.items():
+                        dlog[add(base, pt)] = (u, v)
+                return AbelianGroup((d1, best)), dlog
+    raise ValueError(f"the stream is not a group of order {order} on at most two generators")
 
 
 def _check_point_set(group: AbelianGroup, points: Sequence[GroupElement]) -> list[GroupElement]:
@@ -330,17 +431,9 @@ def subset_sum_count(group: AbelianGroup, points: Sequence[GroupElement], t: int
 # --- counts on the whole group minus a few points -------------------------------
 
 def _mobius(n: int) -> int:
-    """The Moebius function mu(n), by trial division."""
-    result = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            result = -result
-        p += 1
-    return -result if n > 1 else result
+    """The Moebius function mu(n)."""
+    exponents = _factorize(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def _whole_group_counts(group: AbelianGroup, divisors: list[int], t: int) -> list[list[int]]:
@@ -361,14 +454,16 @@ def _whole_group_counts(group: AbelianGroup, divisors: list[int], t: int) -> lis
     for d in divisors:
         terms = [(s, _mobius(d // s) * quotient[s]) for s in divisors if d % s == 0]
         phi[d] = [sum(w for s, w in terms if top % s == 0) for top in divisors]
+    binom = dict.fromkeys(divisors, 1)  # C(N/d, k/d) at the last multiple k of d
     table = []
     for k in range(t + 1):
         acc = [0] * len(divisors)
         for d in divisors:
             if k % d == 0:
-                coeff = math.comb(size // d, k // d)
-                if (k + k // d) % 2:
-                    coeff = -coeff
+                j = k // d
+                if j:  # C(n, j) = C(n, j - 1) (n - j + 1) / j, exactly
+                    binom[d] = binom[d] * (size // d - j + 1) // j
+                coeff = -binom[d] if (k + j) % 2 else binom[d]
                 acc = [a + coeff * v for a, v in zip(acc, phi[d])]
         row = []
         for a in acc:

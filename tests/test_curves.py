@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 
@@ -198,6 +201,69 @@ def test_group_structure_prime_order_is_cyclic():
             assert group_structure(e).group.factors == (1, n)
             return
     pytest.fail("no prime-order curve found in the search range")
+
+
+def reference_group_structure(curve):
+    """(factors, dlog) by ordering every point, then the two-generator search:
+    g2 the first point of order d2 = the exponent, g1 the first point of
+    order d1 = N / d2 whose product table u g1 + v g2 is injective."""
+    pts = enumerate_points(curve)
+    n = len(pts)
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q))]
+
+    def point_order(pt):
+        order = n
+        for q in primes:
+            while order % q == 0 and is_infinity(curve.scalar_mul(order // q, pt)):
+                order //= q
+        return order
+
+    orders = {pt: point_order(pt) for pt in pts}
+    d2 = math.lcm(*orders.values())
+    d1 = n // d2
+    g2 = next(pt for pt in pts if orders[pt] == d2)
+    multiples = [curve.scalar_mul(v, g2) for v in range(d2)]
+    for cand in pts:
+        if orders[cand] != d1:
+            continue
+        dlog = {}
+        for u in range(d1):
+            base = curve.scalar_mul(u, cand)
+            for v, mv in enumerate(multiples):
+                dlog.setdefault(curve.add(base, mv), (u, v))
+        if len(dlog) == n:
+            return (d1, d2), dlog
+    raise AssertionError("no generator pair")
+
+
+def test_group_structure_matches_ordering_every_point():
+    curves = [
+        elliptic_curve(p, a, b)
+        for p in (5, 7, 11, 13, 17, 19, 23)
+        for a in range(p)
+        for b in range(p)
+        if (4 * a**3 + 27 * b * b) % p
+    ]
+    assert len(curves) == 1448
+    noncyclic = 0
+    for e in curves:
+        factors, dlog = reference_group_structure(e)
+        table = group_structure(e)
+        assert table.group.factors == factors, e
+        assert table.dlog == dlog, e
+        noncyclic += factors[0] > 1
+    assert noncyclic == 230
+
+
+def test_group_structure_at_scale():
+    assert group_structure(elliptic_curve(2003, 1, 1)).group.factors == (2, 1004)
+    e = elliptic_curve(10007, 1, 1)
+    enumerate_points(e)
+    start = time.perf_counter()
+    table = group_structure.__wrapped__(e)
+    elapsed = time.perf_counter() - start
+    assert table.group.factors == (1, 10065)
+    assert elapsed < 0.5, f"group of order 10 065 took {elapsed:.2f} s"
 
 
 def test_rr_basis_examples():

@@ -276,6 +276,33 @@ def test_empty_shapes_match_the_reference(shape, p):
         assert not solvable_array(a, b, p)
 
 
+def test_rank_matches_a_reference_on_random_deficient_and_empty_shapes(monkeypatch):
+    import agss.field
+
+    shapes = []
+    eliminate = agss.field._eliminate
+
+    def spy(m, p, rows):
+        shapes.append((m.shape, rows))
+        return eliminate(m, p, rows)
+
+    monkeypatch.setattr(agss.field, "_eliminate", spy)
+    rng = np.random.default_rng(11)
+    for p in (7, 101, 2**31 - 1):
+        cases = [np.zeros(shape, dtype=np.int64) for shape in [(0, 4), (4, 0), (0, 0), (3, 5)]]
+        for rows, cols in [(6, 9), (9, 6), (12, 12), (1, 30)]:
+            cases.append(rng.integers(0, p, size=(rows, cols)))
+            for k in range(1, min(rows, cols)):  # rank at most k
+                left = rng.integers(0, p, size=(rows, k)).astype(object)
+                cases.append((left @ rng.integers(0, p, size=(k, cols)).astype(object) % p).astype(np.int64))
+        for a in cases:
+            shapes.clear()
+            assert rank_array(a, p) == len(reference_rref(a, p)[1])
+            # the matrix alone, stored by columns, with every entry an equation
+            rows, cols = a.shape
+            assert shapes == [((1, cols, rows), rows)]
+
+
 def test_elimination_near_the_field_cap_on_larger_matrices():
     # 20+ unreduced updates of size ~2^60 would leave int64 without the guard
     rng = np.random.default_rng(31)

@@ -31,7 +31,9 @@ from agss.groups import (
     sieve_identity_eval,
     subset_sum_count,
     subset_sum_table,
+    two_generator_table,
 )
+from agss.groups import _whole_group_counts
 
 Z5 = AbelianGroup((5,))
 Z4 = AbelianGroup((4,))
@@ -285,6 +287,66 @@ def test_cofinite_count_rejects_unsupported_input():
     with pytest.raises(ValueError):
         cofinite_subset_sum_counts(Z5, [(0,)], [(5, (0,))])  # t > n = 4
     assert cofinite_subset_sum_counts(Z5, [(0,)], []) == []
+
+
+def reference_whole_group_counts(group, divisors, t):
+    """F[k][c] from the closed form with a fresh math.comb per (k, d) and
+    the Moebius function by trial division."""
+
+    def mobius(n):
+        result, q = 1, 2
+        while q * q <= n:
+            if n % q == 0:
+                n //= q
+                if n % q == 0:
+                    return 0
+                result = -result
+            q += 1
+        return -result if n > 1 else result
+
+    size = group.order
+    quotient = {s: math.prod(math.gcd(s, d) for d in group.factors) for s in divisors}
+    phi = {
+        d: [sum(mobius(d // s) * quotient[s] for s in divisors if d % s == 0 and top % s == 0) for top in divisors]
+        for d in divisors
+    }
+    table = []
+    for k in range(t + 1):
+        acc = [0] * len(divisors)
+        for d in (d for d in divisors if k % d == 0):
+            coeff = (-1) ** (k + k // d) * math.comb(size // d, k // d)
+            acc = [a + coeff * v for a, v in zip(acc, phi[d])]
+        assert all(a % size == 0 for a in acc)
+        table.append([a // size for a in acc])
+    return table
+
+
+@pytest.mark.parametrize("factors", [(1, 105), (1, 432), (2, 1004), (2, 6, 60)])
+def test_whole_group_counts_match_fresh_binomials(factors):
+    g = AbelianGroup(factors)
+    e = factors[-1]
+    divisors = [s for s in range(1, e + 1) if e % s == 0]
+    t = g.order // 2 + 1
+    assert _whole_group_counts(g, divisors, t) == reference_whole_group_counts(g, divisors, t)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_two_generator_table_presents_shuffled_products(data):
+    factors = data.draw(st.sampled_from([(1,), (5,), (2, 2), (2, 4), (3, 9), (2, 12), (4, 8), (6, 6), (36,)]))
+    g = AbelianGroup(factors)
+    rest = data.draw(st.permutations([a for a in g.elements() if a != g.identity]))
+    group, dlog = two_generator_table(g.order, [g.identity, *rest], g.add, g.identity)
+    assert group.factors == (factors if len(factors) == 2 else (1, *factors))
+    assert sorted(dlog.values()) == sorted(group.elements())  # a bijection onto the group
+    for a, b in zip(rest, rest[1:] + rest[:1]):
+        assert dlog[g.add(a, b)] == group.add(dlog[a], dlog[b])
+
+
+def test_two_generator_table_rejects_three_generators():
+    g = AbelianGroup((2, 2, 2))
+    with pytest.raises(ValueError):
+        two_generator_table(g.order, g.elements(), g.add, g.identity)
 
 
 def test_cycle_types_and_counts():
