@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -36,6 +35,7 @@ from .curves import (
     BadDegreeError,
     Curve,
     EllipticCurve,
+    GroupTable,
     HyperellipticCurve,
     Point,
     SingularCurveError,
@@ -58,12 +58,11 @@ from .groups import (
     subset_sum_table,  # unused here, but bench/probes.py wraps agss.experiments.subset_sum_table
 )
 from .scheme import (
-    DECIDE_BLOCK,
     ORACLE_NAMES,
     SchemeInstance,
-    WrongGenusError,
     _decide,
     check_layout,
+    decide_block_size,
     enumerate_access,
     group_images,
     scheme_build,
@@ -147,15 +146,14 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 # --- exact proportions (genus 1) -------------------------------------------
 
 def _exact_estimates(
-    curve: Curve, p0: Point, players: Sequence[Point], m: int, ts: Sequence[int]
+    player_images: tuple[GroupTable, np.ndarray], p0: Point, m: int, ts: Sequence[int]
 ) -> dict[int, ProportionEstimate]:
-    """Exact proportions from the point group alone: no code matrix is read."""
-    if not isinstance(curve, EllipticCurve):
-        raise WrongGenusError("exact proportions require an elliptic scheme")
+    """Exact proportions from the point group alone, given
+    ``group_images(curve, players)``: no code matrix is read."""
     for t in ts:
         if t not in (m - 1, m):
             raise UnsupportedOffsetError(f"exact proportion defined for t in {{m-1, m}}, got t={t}, m={m}")
-    table, images = group_images(curve, players)
+    table, images = player_images
     group = table.group
     taken = set(map(tuple, images.tolist()))
     excluded = [a for a in group.elements() if a not in taken]
@@ -166,7 +164,7 @@ def _exact_estimates(
     counts = cofinite_subset_sum_counts(group, excluded, [(t, targets[t]) for t in ts])
     out = {}
     for t, count in zip(ts, counts):
-        total = math.comb(len(players), t)
+        total = math.comb(len(images), t)
         qualified = count if t == m else total - count
         p_hat = float(Fraction(qualified, total))
         out[t] = ProportionEstimate(qualified, total, p_hat, p_hat, p_hat, True)
@@ -180,14 +178,16 @@ def exact_proportion_elliptic(scheme: SchemeInstance, t: int) -> ProportionEstim
     ``standard_scheme``; any other player set raises
     ``groups.UnsupportedExclusionError``.
     """
-    return _exact_estimates(scheme.curve, scheme.p0, scheme.players, scheme.m, [t])[t]
+    return _exact_estimates(scheme.player_images, scheme.p0, scheme.m, [t])[t]
 
 
 # --- Monte Carlo -------------------------------------------------------------
 
 def _mc_chunk(scheme: SchemeInstance, t: int, seed_seq: tuple[int, ...], count: int, oracle: str) -> int:
     """Qualified samples among ``count`` uniform size-t complements, drawn
-    and decided ``DECIDE_BLOCK`` at a time.
+    and decided in blocks of ``decide_block_size(scheme, t, oracle)``, so
+    each batched elimination holds about ``DECIDE_BYTES`` of systems
+    whatever the oracle and field.
 
     Each sample is a partial Fisher-Yates shuffle of the players.  One
     ``integers`` call draws a whole block's swap targets in the order that
@@ -197,9 +197,10 @@ def _mc_chunk(scheme: SchemeInstance, t: int, seed_seq: tuple[int, ...], count: 
     rng = np.random.default_rng(seed_seq)
     n = scheme.n
     lows = np.arange(t, dtype=np.int64)
+    block_size = decide_block_size(scheme, t, oracle)
     hits = 0
-    for start in range(0, count, DECIDE_BLOCK):
-        size = min(DECIDE_BLOCK, count - start)
+    for start in range(0, count, block_size):
+        size = min(block_size, count - start)
         block = np.empty((size, t), dtype=np.int64)
         if t:
             js = rng.integers(np.broadcast_to(lows, (size, t)), n).tolist()
@@ -235,6 +236,10 @@ def mc_proportion(
         sizes.append(samples % MC_CHUNK)
     tasks = [(scheme, t, base + (ci,), sz, oracle) for ci, sz in enumerate(sizes)]
     if workers > 1 and len(tasks) > 1:
+        # imported here: the pool pulls in multiprocessing, socket and
+        # subprocess, which a serial sweep should not pay for at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(_mc_chunk, *zip(*tasks)))
     else:
@@ -437,15 +442,19 @@ def sweep_rows(config: ExperimentConfig) -> list[dict]:
         n = len(players)
         c = len(enumerate_points(curve)) - n
 
+        # one pass over the players' group elements serves Phi and the exact
+        # counts (exact mode on a non-elliptic curve raises WrongGenusError)
+        if g == 1 or config.mode == "exact":
+            player_images = group_images(curve, players)
         if g == 1:
-            table, images = group_images(curve, players)
+            table, images = player_images
             phi = amplitude(table.group, images)
             n_group = table.group.order
 
         estimates: dict[int, ProportionEstimate] = {}
         ts = [m - off for off in config.offsets]
         if config.mode == "exact":
-            estimates = _exact_estimates(curve, p0, players, m, ts)
+            estimates = _exact_estimates(player_images, p0, m, ts)
         else:
             for t in ts:
                 if config.mode == "exhaustive":

@@ -67,8 +67,10 @@ ENUMERATION_LIMIT = 10**7
 
 ORACLE_NAMES = ("kernel", "dual", "clx")
 
-# complements decided per batched elimination; larger blocks cost peak memory
-DECIDE_BLOCK = 8
+# bytes of system stack that one batched decision may hold; blocks of
+# complements are sized to it per oracle (``decide_block_size``), which keeps
+# the dual oracle's blocks at q = 211, genus 2 at 8 complements
+DECIDE_BYTES = 320 * 1024
 
 
 class DuplicatePointError(Exception):
@@ -426,6 +428,31 @@ def _clx_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
 _ORACLES = {"kernel": _kernel_block, "dual": _dual_block, "clx": _clx_block}
 
 
+def decide_block_size(scheme: SchemeInstance, t: int, oracle: str) -> int:
+    """Size-t complements per batched decision: ``DECIDE_BYTES`` over the
+    stack bytes of one typical system of the oracle, and at least 1.
+
+    * kernel -- the mean kept pivot rows + 1 by the mean used free columns
+      + 2: the hypergeometric means of a random t-subset of the players
+      against the P - 1 player pivots and the n - P + 1 free columns;
+    * dual -- n - t + 1 columns of dim_share_code equations;
+    * clx -- t group elements of two int64 coordinates.
+    """
+    itemsize = np.dtype(stack_dtype(scheme.field.p)).itemsize
+    if oracle == "kernel":
+        n, pivots = scheme.n, len(scheme.pivots)
+        kept = pivots - t * (pivots - 1) / n
+        used = t * (n - pivots + 1) / n
+        nbytes = (kept + 1) * (used + 2) * itemsize
+    elif oracle == "dual":
+        nbytes = (scheme.n - t + 1) * scheme.dim_share_code * itemsize
+    elif oracle == "clx":
+        nbytes = 16 * t
+    else:
+        raise ValueError(f"unknown oracle {oracle!r}; choose from {ORACLE_NAMES}")
+    return max(1, int(DECIDE_BYTES // max(nbytes, 1)))
+
+
 def _decide(scheme: SchemeInstance, a_block: np.ndarray, oracle: str) -> np.ndarray:
     """The oracle's verdict on each row of a B x t block of complements."""
     try:
@@ -496,11 +523,10 @@ def enumerate_access(scheme: SchemeInstance, t: int, oracle: str = "kernel") -> 
     total = math.comb(n, t)
     if total > ENUMERATION_LIMIT:
         raise InstanceTooLargeError(f"C({n},{t}) = {total} exceeds the exhaustive limit {ENUMERATION_LIMIT}")
-    if oracle not in _ORACLES:
-        raise ValueError(f"unknown oracle {oracle!r}; choose from {ORACLE_NAMES}")
+    size = decide_block_size(scheme, t, oracle)
     qualified = 0
     combos = combinations(range(n), t)
-    while block := list(islice(combos, DECIDE_BLOCK)):
+    while block := list(islice(combos, size)):
         a_block = np.array(block, dtype=np.int64).reshape(len(block), t)
         qualified += int(_decide(scheme, a_block, oracle).sum())
     return AccessCount(qualified, total)

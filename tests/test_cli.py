@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -317,3 +320,24 @@ def test_experiment_preset_files_parse(capsys, tmp_path):
         "--out", str(tmp_path / "t3.csv"), "--curve", "ec:p=13,a=1,b=1",
     )
     assert code == 0
+
+
+def test_serial_sweep_imports_no_process_pool(tmp_path):
+    # 1100 samples are two Monte Carlo chunks; with one worker they run
+    # in-process, so the pool's modules stay unimported
+    script = (
+        "import sys\n"
+        "import agss\n"
+        "import agss.cli\n"
+        "code = agss.cli.main(['experiment', '--config', sys.argv[1], '--curve', 'hyp:p=13,f=1,1,0,0,0,1',\n"
+        "    '--t-offset', '0,3', '--samples', '1100', '--workers', '1', '--out', sys.argv[2]])\n"
+        "print(code, sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "configs/theorem4.ini"), str(tmp_path / "x.csv")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.split("\n")[-2] == "0 []"
+    assert (tmp_path / "x.csv").read_text().count(",montecarlo,kernel,1100,") == 2

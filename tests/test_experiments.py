@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from agss import experiments
+from agss import field as field_module
+from agss import scheme as scheme_module
 
 from agss.curves import affine_points, elliptic_curve, enumerate_points, group_structure, hyperelliptic_curve
 from agss.groups import (
@@ -17,12 +19,14 @@ from agss.groups import (
     subset_sum_table,
 )
 from agss.scheme import (
-    DECIDE_BLOCK,
+    DECIDE_BYTES,
     DegreeOutOfRangeError,
     WrongGenusError,
     _decide,
     _kernel_qualified,
+    decide_block_size,
     enumerate_access,
+    group_images,
     scheme_build,
 )
 from agss.experiments import (
@@ -91,6 +95,20 @@ def test_exact_proportion_guards():
         exact_proportion_elliptic(small_genus2_scheme(), 2)
 
 
+def test_exact_sweep_reads_the_players_group_elements_once_per_curve(monkeypatch):
+    curves = []
+
+    def record(curve, points):
+        curves.append(curve.field.p)
+        return group_images(curve, points)
+
+    monkeypatch.setattr(experiments, "group_images", record)
+    rows = sweep_rows(ExperimentConfig(seed=1, q_values=(13, 101), offsets=(0, 1), mode="exact"))
+    # one call per curve serves both the amplitude and the exact counts
+    assert curves == [13, 101]
+    assert len(rows) == 4
+
+
 def test_mc_zero_above_m():
     sch = small_elliptic_scheme()
     est = mc_proportion(sch, sch.m + 1, 500, seed=4)
@@ -126,20 +144,67 @@ def _mc_complements_one_by_one(n, t, seed_seq, count):
 
 
 def test_mc_blocks_draw_the_one_by_one_stream(monkeypatch):
-    sch = small_genus2_scheme()
-    seen = []
+    small = small_genus2_scheme()
+    big = standard_scheme(find_hyperelliptic_curve(101), 0.5)  # theorem 4's q = 101
+    seen, widths = [], []
 
     def record(scheme, a_block, oracle):
         seen.extend(a_block.tolist())
+        widths.append(len(a_block))
         return _decide(scheme, a_block, oracle)
 
     monkeypatch.setattr(experiments, "_decide", record)
-    # counts that leave a partial block, and t = 0 (no draws)
-    for t, count in [(sch.m, 3 * DECIDE_BLOCK + 5), (sch.m - 2, DECIDE_BLOCK - 1), (0, 5)]:
+    wide = decide_block_size(big, big.m - 1, "kernel")
+    assert wide > 8
+    # counts that leave a partial block (one of them after two full wide
+    # blocks), and t = 0 (no draws)
+    cases = [
+        (big, big.m - 1, 2 * wide + 5),
+        (small, small.m, decide_block_size(small, small.m, "kernel") - 1),
+        (small, small.m - 2, 5),
+        (small, 0, 5),
+    ]
+    for sch, t, count in cases:
         seen.clear()
+        widths.clear()
         hits = experiments._mc_chunk(sch, t, (9, t), count, "kernel")
+        size = decide_block_size(sch, t, "kernel")
+        assert widths == [size] * (count // size) + [count % size]
         assert seen == _mc_complements_one_by_one(sch.n, t, (9, t), count)
         assert hits == sum(_kernel_qualified(sch, a) for a in seen)
+
+
+def test_decision_stacks_stay_within_the_byte_budget(monkeypatch):
+    # the kernel oracle eliminates in agss.scheme, the dual through
+    # agss.field.solvable_stack; both reach field._eliminate
+    stacks = []
+    eliminate = field_module._eliminate
+
+    def record(m, p, rows):
+        stacks.append((m.shape, m.nbytes))
+        eliminate(m, p, rows)
+
+    # the kernel pads each block to its largest system, whose kept rows and
+    # used columns sit past the hypergeometric means that size the block;
+    # four standard deviations of both (2.5 at q = 101, 3.5 at q = 211)
+    # make a stack 1.78 times the typical one at q = 101 and 1.58 at q = 211
+    slack = 1.8
+    schemes = {q: standard_scheme(find_hyperelliptic_curve(q), 0.5) for q in (101, 211)}
+    monkeypatch.setattr(scheme_module, "_eliminate", record)
+    monkeypatch.setattr(field_module, "_eliminate", record)
+    for q, sch in schemes.items():
+        for oracle in ("kernel", "dual"):
+            stacks.clear()
+            # the 200-sample theorem-4 sweep's draws
+            for t in range(sch.m - 3, sch.m + 1):
+                mc_proportion(sch, t, 200, (42, q, t), oracle)
+            assert stacks
+            assert max(nbytes for _, nbytes in stacks) <= slack * DECIDE_BYTES, (q, oracle)
+            if oracle == "dual":
+                # the dual's stacks are unpadded, so they meet the budget itself
+                assert max(nbytes for _, nbytes in stacks) <= DECIDE_BYTES
+                if q == 211:
+                    assert max(shape[0] for shape, _ in stacks) <= 8
 
 
 def test_mc_covers_exact_value():

@@ -21,13 +21,13 @@ from agss.groups import InstanceTooLargeError, subset_sum_count
 from agss.curves import group_structure
 from agss.experiments import find_elliptic_curve, find_hyperelliptic_curve, standard_scheme
 from agss.scheme import (
-    DECIDE_BLOCK,
     DegreeOutOfRangeError,
     DuplicatePointError,
     NotQualifiedError,
     PrivacyVerdict,
     WrongGenusError,
     _kernel_qualified,
+    decide_block_size,
     enumerate_access,
     is_qualified_clx,
     is_qualified_dual,
@@ -443,12 +443,17 @@ def test_enumerate_access():
 
 
 def test_genus2_kernel_and_dual_agree_exhaustively_in_blocks():
-    # every size t, so the totals C(n, t) include ones that are not a
-    # multiple of DECIDE_BLOCK and end in a partial block
-    schemes = [build_genus2_scheme(), standard_scheme(find_hyperelliptic_curve(13), 0.5)]
+    # every size t, so for each oracle some total C(n, t) spans more than
+    # one of its blocks and ends in a partial block (the kernel's blocks
+    # reach C(n, t) only on the q = 19 scheme, n = 14)
+    schemes = [build_genus2_scheme()] + [standard_scheme(find_hyperelliptic_curve(q), 0.5) for q in (13, 19)]
+    for oracle in ("kernel", "dual"):
+        assert any(
+            math.comb(sch.n, t) > (size := decide_block_size(sch, t, oracle)) and math.comb(sch.n, t) % size
+            for sch in schemes
+            for t in range(sch.n + 1)
+        )
     for sch in schemes:
-        totals = [math.comb(sch.n, t) for t in range(sch.n + 1)]
-        assert any(total % DECIDE_BLOCK for total in totals)
         for t in range(sch.n + 1):
             kernel = enumerate_access(sch, t, "kernel")
             assert kernel == enumerate_access(sch, t, "dual")
