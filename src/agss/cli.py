@@ -6,7 +6,9 @@ carry data, stderr carries diagnostics.
 
 Exit codes: 0 success, 2 parse/config error, 3 singular or malformed
 curve, 4 reconstruction from an unqualified subset, 5 oracle disagreement
-(internal bug signal), 6 declared DP/sample budget exceeded.
+(internal bug signal), 6 declared DP/sample budget exceeded.  Commands
+raise; ``main`` assigns every code but 5 from one table, prints one
+``error:`` line and lets any other exception propagate.
 """
 
 from __future__ import annotations
@@ -69,9 +71,22 @@ EXIT_NOT_QUALIFIED = 4
 EXIT_DISAGREEMENT = 5
 EXIT_BUDGET = 6
 
-_CONFIG_KEYS = {
-    "q", "curves", "genus", "delta", "offsets", "mode", "oracle",
-    "samples", "seed", "workers",
+# exit code per failure class: main looks up the most specific listed class
+# of what a command raises; anything unlisted is a bug and keeps its traceback
+_EXIT_CODES = {
+    SingularCurveError: EXIT_CURVE,
+    BadDegreeError: EXIT_CURVE,
+    NotQualifiedError: EXIT_NOT_QUALIFIED,
+    BudgetExceededError: EXIT_BUDGET,
+    InstanceTooLargeError: EXIT_BUDGET,
+    ValueError: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+    configparser.Error: EXIT_PARSE,
+    DegreeOutOfRangeError: EXIT_PARSE,
+    DuplicatePointError: EXIT_PARSE,
+    WrongGenusError: EXIT_PARSE,
+    UnsupportedOffsetError: EXIT_PARSE,
+    RegimeMismatchError: EXIT_PARSE,
 }
 
 
@@ -79,13 +94,34 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
-def _parse_subset(text: str) -> list[int]:
+def _split_ints(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def _split_specs(text: str) -> tuple:
+    return tuple(s.strip() for s in text.split(";") if s.strip())
+
+
+# (INI key, overriding flag, ExperimentConfig field, converter), one row per key
+_CONFIG = (
+    ("q", None, "q_values", _split_ints),
+    ("curves", "curve", "curves", _split_specs),
+    ("genus", None, "genus", int),
+    ("delta", "delta", "delta", float),
+    ("offsets", "t_offset", "offsets", _split_ints),
+    ("mode", "mode", "mode", str),
+    ("oracle", "oracle", "oracle", str),
+    ("samples", "samples", "samples", int),
+    ("seed", "seed", "seed", int),
+    ("workers", "workers", "workers", int),
+)
+
+
+def _parse_subset(text: str, n: int) -> list[int]:
     """Comma-separated 1-based player indices -> 0-based list."""
-    if not text.strip():
-        return []
-    idx = [int(v) for v in text.split(",")]
-    if any(i < 1 for i in idx):
-        raise ValueError("player indices are 1-based")
+    idx = [int(v) for v in text.split(",")] if text.strip() else []
+    if any(not 1 <= i <= n for i in idx):
+        raise ValueError(f"player indices must lie in 1..{n}")
     return [i - 1 for i in idx]
 
 
@@ -102,7 +138,7 @@ def _build_scheme_from_args(args) -> "tuple":
     else:
         p0, players = pts[0], pts[1:]
     if args.m is not None:
-        m = int(args.m)
+        m = args.m
     else:
         delta = args.delta if args.delta is not None else 0.5
         m = _round_half_down(delta * len(players))
@@ -110,14 +146,7 @@ def _build_scheme_from_args(args) -> "tuple":
 
 
 def cmd_curve_info(args) -> int:
-    try:
-        curve = parse_curve_spec(args.curve)
-    except (SingularCurveError, BadDegreeError) as exc:
-        _err(str(exc))
-        return EXIT_CURVE
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_PARSE
+    curve = parse_curve_spec(args.curve)
     pts = enumerate_points(curve)
     report = hasse_checks(curve)
     print(f"curve={format_curve_spec(curve)}")
@@ -133,79 +162,39 @@ def cmd_curve_info(args) -> int:
 
 
 def cmd_scheme(args) -> int:
-    try:
-        scheme, curve = _build_scheme_from_args(args)
-    except (SingularCurveError, BadDegreeError) as exc:
-        _err(str(exc))
-        return EXIT_CURVE
-    except (ValueError, DegreeOutOfRangeError, DuplicatePointError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
+    scheme, curve = _build_scheme_from_args(args)
 
     if args.action == "share":
         if args.secret is None or args.seed is None:
-            _err("share requires --secret and --seed")
-            return EXIT_PARSE
-        vec = share(scheme, int(args.secret), int(args.seed))
-        print(vec.to_csv_line())
+            raise ValueError("share requires --secret and --seed")
+        print(share(scheme, args.secret, args.seed).to_csv_line())
         return EXIT_OK
 
     if args.action == "reconstruct":
         if args.subset is None or args.shares is None:
-            _err("reconstruct requires --subset and --shares")
-            return EXIT_PARSE
-        try:
-            subset = _parse_subset(args.subset)
-        except ValueError as exc:
-            _err(str(exc))
-            return EXIT_PARSE
-        try:
-            vec = ShareVector.from_csv_line(curve.field, args.shares)
-        except ValueError as exc:
-            _err(f"bad share line: {exc}")
-            return EXIT_PARSE
+            raise ValueError("reconstruct requires --subset and --shares")
+        subset = _parse_subset(args.subset, scheme.n)
+        vec = ShareVector.from_csv_line(curve.field, args.shares)
         if len(vec.shares) != scheme.n:
-            _err(f"share line has {len(vec.shares)} shares, scheme has {scheme.n} players")
-            return EXIT_PARSE
-        try:
-            secret = reconstruct(scheme, subset, [vec.shares[i] for i in subset])
-        except NotQualifiedError as exc:
-            _err(str(exc))
-            return EXIT_NOT_QUALIFIED
-        except (ValueError, IndexError) as exc:
-            _err(str(exc))
-            return EXIT_PARSE
-        print(secret.value)
+            raise ValueError(f"share line has {len(vec.shares)} shares, scheme has {scheme.n} players")
+        print(reconstruct(scheme, subset, [vec.shares[i] for i in subset]).value)
         return EXIT_OK
 
-    if args.action == "qualify":
-        if args.subset is None:
-            _err("qualify requires --subset")
-            return EXIT_PARSE
-        try:
-            subset = _parse_subset(args.subset)
-        except ValueError as exc:
-            _err(str(exc))
-            return EXIT_PARSE
-        try:
-            verdicts = {
-                "kernel": is_qualified_kernel(scheme, subset).qualified,
-                "dual": is_qualified_dual(scheme, subset).qualified,
-            }
-            if isinstance(curve, EllipticCurve):
-                verdicts["clx"] = is_qualified_clx(scheme, subset).qualified
-        except ValueError as exc:
-            _err(str(exc))
-            return EXIT_PARSE
-        for name, q in verdicts.items():
-            print(f"{name}={'Qualified' if q else 'Unqualified'}")
-        if len(set(verdicts.values())) > 1:
-            _err("oracle disagreement: this is a bug in the library")
-            return EXIT_DISAGREEMENT
-        return EXIT_OK
-
-    _err(f"unknown action {args.action!r}")
-    return EXIT_PARSE
+    if args.subset is None:
+        raise ValueError("qualify requires --subset")
+    subset = _parse_subset(args.subset, scheme.n)
+    verdicts = {
+        "kernel": is_qualified_kernel(scheme, subset).qualified,
+        "dual": is_qualified_dual(scheme, subset).qualified,
+    }
+    if isinstance(curve, EllipticCurve):
+        verdicts["clx"] = is_qualified_clx(scheme, subset).qualified
+    for name, q in verdicts.items():
+        print(f"{name}={'Qualified' if q else 'Unqualified'}")
+    if len(set(verdicts.values())) > 1:
+        _err("oracle disagreement: this is a bug in the library")
+        return EXIT_DISAGREEMENT
+    return EXIT_OK
 
 
 def _parse_point_set(group, text: str):
@@ -226,19 +215,10 @@ def _parse_element(group, text: str):
 
 
 def cmd_count(args) -> int:
-    try:
-        group = parse_group_spec(args.group)
-        points = _parse_point_set(group, args.pointset)
-        target = _parse_element(group, args.b)
-        t = int(args.t)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_PARSE
-    try:
-        report = li_wan_bound_check(group, points, t, target)
-    except BudgetExceededError as exc:
-        _err(str(exc))
-        return EXIT_BUDGET
+    group = parse_group_spec(args.group)
+    points = _parse_point_set(group, args.pointset)
+    target = _parse_element(group, args.b)
+    report = li_wan_bound_check(group, points, args.t, target)
     print(f"count={report.count}")
     print(f"main_term={report.main_term!r}")
     print(f"deviation={report.deviation!r}")
@@ -248,19 +228,14 @@ def cmd_count(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    try:
-        if args.theorem == "3":
-            rep = bound_theorem3(int(args.n), int(args.t), int(args.group_order), float(args.phi))
-        else:
-            rep = bound_theorem4(
-                int(args.q), int(args.genus), int(args.n), int(args.t), int(args.m), int(args.c)
-            )
-    except (TypeError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
-    except RegimeMismatchError as exc:
-        _err(str(exc))
-        return EXIT_PARSE
+    needed = ("group_order", "phi") if args.theorem == "3" else ("q", "genus", "m", "c")
+    missing = [f"--{name.replace('_', '-')}" for name in needed if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"theorem {args.theorem} requires {', '.join(missing)}")
+    if args.theorem == "3":
+        rep = bound_theorem3(args.n, args.t, args.group_order, args.phi)
+    else:
+        rep = bound_theorem4(args.q, args.genus, args.n, args.t, args.m, args.c)
     print(f"phi={rep.phi!r}")
     print(f"M={rep.m_value!r}")
     print(f"main_term={rep.main_term!r}")
@@ -277,7 +252,7 @@ def _load_config(path: str) -> dict:
     if "experiment" not in parser:
         raise ValueError("config file needs an [experiment] section")
     section = parser["experiment"]
-    unknown = set(section) - _CONFIG_KEYS
+    unknown = set(section) - {key for key, *_ in _CONFIG}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return dict(section)
@@ -285,77 +260,28 @@ def _load_config(path: str) -> dict:
 
 def _experiment_config(args) -> ExperimentConfig:
     raw = _load_config(args.config) if args.config else {}
-
-    def override(key, flag):
-        if flag is not None:
-            raw[key] = flag
-
-    override("curves", args.curve)
-    override("delta", args.delta)
-    override("offsets", args.t_offset)
-    override("mode", args.mode)
-    override("oracle", args.oracle)
-    override("samples", args.samples)
-    override("seed", args.seed)
-    override("workers", args.workers)
-
-    if "seed" not in raw or raw["seed"] in (None, ""):
+    for key, flag, _, _ in _CONFIG:
+        if flag is not None and getattr(args, flag) is not None:
+            raw[key] = getattr(args, flag)
+    if raw.get("seed") in (None, ""):
         raise ValueError("experiment mode requires --seed (or seed= in the config)")
-
-    def split_ints(text):
-        return tuple(int(v) for v in str(text).split(",") if str(v).strip())
-
-    kwargs = {"seed": int(raw["seed"])}
-    if "q" in raw:
-        kwargs["q_values"] = split_ints(raw["q"])
-    if "curves" in raw and raw["curves"]:
-        kwargs["curves"] = tuple(s.strip() for s in str(raw["curves"]).split(";") if s.strip())
-    if "genus" in raw:
-        kwargs["genus"] = int(raw["genus"])
-    if "delta" in raw:
-        kwargs["delta"] = float(raw["delta"])
-    if "offsets" in raw:
-        kwargs["offsets"] = split_ints(raw["offsets"])
-    if "mode" in raw:
-        kwargs["mode"] = str(raw["mode"])
-    if "oracle" in raw:
-        kwargs["oracle"] = str(raw["oracle"])
-    if "samples" in raw:
-        kwargs["samples"] = int(raw["samples"])
-    if "workers" in raw:
-        kwargs["workers"] = int(raw["workers"])
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{field: convert(raw[key]) for key, _, field, convert in _CONFIG if key in raw})
 
 
 def cmd_experiment(args) -> int:
-    try:
-        config = _experiment_config(args)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_PARSE
+    config = _experiment_config(args)
     if args.out is None:
-        _err("experiment mode requires --out")
-        return EXIT_PARSE
-    try:
-        if args.format == "json":
-            rows = sweep_rows(config)
-            payload = {
-                "seed": config.seed,
-                "prng": PRNG_NAME,
-                "rows": [{k: row[k] for k in CSV_HEADER} for row in rows],
-            }
-            text = json.dumps(payload, indent=2) + "\n"
-        else:
-            text = sweep_csv(config)
-    except (BudgetExceededError, InstanceTooLargeError) as exc:
-        _err(str(exc))
-        return EXIT_BUDGET
-    except (SingularCurveError, BadDegreeError) as exc:
-        _err(str(exc))
-        return EXIT_CURVE
-    except (ValueError, DegreeOutOfRangeError, WrongGenusError, UnsupportedOffsetError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
+        raise ValueError("experiment mode requires --out")
+    if args.format == "json":
+        rows = sweep_rows(config)
+        payload = {
+            "seed": config.seed,
+            "prng": PRNG_NAME,
+            "rows": [{k: row[k] for k in CSV_HEADER} for row in rows],
+        }
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = sweep_csv(config)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     print(f"wrote {args.out}", file=sys.stderr)
@@ -419,9 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as exc:
+        _err(str(exc))
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

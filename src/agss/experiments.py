@@ -254,6 +254,8 @@ def bound_theorem3(n: int, t: int, group_order: int, phi: float) -> BoundReport:
     """1/N + C(M, t)/C(n, t), the genus-1 bound on the t = m proportion."""
     if not 0 <= phi <= n:
         raise ValueError(f"amplitude {phi} outside [0, {n}]")
+    if group_order < 1:
+        raise ValueError(f"group order must be >= 1, got {group_order}")
     main = 1.0 / group_order
     if t == 0:
         return BoundReport(phi, 0.0, main, 1.0, main + 1.0, group_order=group_order)
@@ -269,6 +271,8 @@ def _star_bound(q: int, g: int, n: int, t: int, c: int, d: int) -> BoundReport:
     The amplitude is estimated by the Weil value (2g - 2) sqrt(q) + c, where
     c is the number of rational points left out of the player set.
     """
+    if q < 2:
+        raise ValueError(f"field size must be >= 2, got {q}")
     sq = math.sqrt(q)
     phi = (2 * g - 2) * sq + c
     factor = 2 * g * sq / (sq - 1) - q / (q - 1)

@@ -42,7 +42,7 @@ SIEVE_MAX_T = 10
 SIEVE_MAX_N = 14
 
 
-class TrivialGroupError(Exception):
+class TrivialGroupError(ValueError):
     """Amplitude is undefined on the one-element group."""
 
 

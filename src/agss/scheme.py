@@ -120,9 +120,10 @@ class ShareVector:
 
     @classmethod
     def from_csv_line(cls, field, line: str) -> "ShareVector":
-        vals = [field.element(int(v)) for v in line.strip().split(",")]
-        if not vals:
-            raise ValueError("empty share line")
+        try:
+            vals = [field.element(int(v)) for v in line.strip().split(",")]
+        except ValueError as exc:
+            raise ValueError(f"bad share line: {exc}") from None
         return cls(vals[0], tuple(vals[1:]))
 
 

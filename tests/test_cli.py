@@ -179,6 +179,54 @@ def test_count_parse_error(capsys):
     assert code == 2
 
 
+# (argv, exit code); "{root}" is the repository, "{tmp}" a fresh directory
+FAILURES = [
+    pytest.param(["count", "--group", "ab:5", "--pointset", "full", "--t", "9", "--b", "0"], 2, id="count-t-above-n"),
+    pytest.param(["count", "--group", "ab:1", "--pointset", "full", "--t", "0", "--b", "0"], 2, id="count-trivial-group"),
+    pytest.param(["bound", "--theorem", "3", "--n", "10", "--t", "5", "--group-order", "0", "--phi", "2"], 2,
+                 id="bound3-group-order-0"),
+    pytest.param(["bound", "--theorem", "4", "--q", "1", "--genus", "2", "--n", "10", "--t", "5", "--m", "6", "--c", "2"],
+                 2, id="bound4-q-1"),
+    pytest.param(["bound", "--theorem", "4", "--genus", "2", "--n", "10", "--t", "5", "--m", "6", "--c", "2"], 2,
+                 id="bound4-without-q"),
+    pytest.param(["scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5", "--action", "share", "--secret", "5", "--seed", "-1"],
+                 2, id="share-negative-seed"),
+    pytest.param(["scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5", "--action", "reconstruct", "--subset", "99",
+                  "--shares", ",".join(["0"] * 17)], 2, id="reconstruct-player-99"),
+    pytest.param(["scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5", "--action", "share"], 2, id="share-without-seed"),
+    pytest.param(["scheme", "--curve", "ec:p=13,a=0,b=0", "--m", "5", "--action", "qualify", "--subset", "1"], 3,
+                 id="scheme-singular-curve"),
+    pytest.param(["experiment", "--config", "{root}/configs/theorem3.ini", "--out", "{tmp}/missing/x.csv"], 2,
+                 id="experiment-unwritable-out"),
+    pytest.param(["experiment", "--config", "{tmp}/no-section.ini", "--out", "{tmp}/x.csv"], 2,
+                 id="experiment-config-without-section-header"),
+    pytest.param(["experiment", "--curve", "ec:p=13,a=1,b=1", "--seed", "1"], 2, id="experiment-without-out"),
+]
+
+
+@pytest.mark.parametrize("argv, code", FAILURES)
+def test_failures_exit_with_one_error_line(capsys, tmp_path, argv, code):
+    (tmp_path / "no-section.ini").write_text("q = 13\nseed = 1\n")
+    got, out, err = run(capsys, *(a.format(root=ROOT, tmp=tmp_path) for a in argv))
+    assert got == code
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.splitlines()[0]]
+    assert "Traceback" not in err
+
+
+def test_unexpected_errors_propagate(tmp_path, monkeypatch):
+    import agss.cli
+
+    def broken(config):
+        raise RuntimeError("a library bug")
+
+    monkeypatch.setattr(agss.cli, "sweep_csv", broken)
+    out = tmp_path / "x.csv"
+    with pytest.raises(RuntimeError, match="a library bug"):
+        main(["experiment", "--curve", "ec:p=13,a=1,b=1", "--seed", "1", "--out", str(out)])
+    assert not out.exists()
+
+
 def test_bound_command(capsys):
     code, out, _ = run(
         capsys, "bound", "--theorem", "3", "--n", "20", "--t", "1",

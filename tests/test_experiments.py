@@ -315,6 +315,17 @@ def test_bound_theorem4_examples():
         prev = rep.main_term
 
 
+def test_bounds_reject_degenerate_inputs():
+    # each formula divides by the group order, or by sqrt(q) - 1 and q - 1
+    with pytest.raises(ValueError, match="group order"):
+        bound_theorem3(10, 5, 0, 2.0)
+    for q in (0, 1):
+        with pytest.raises(ValueError, match="field size"):
+            bound_theorem4(q, 2, 10, 5, 6, 2)
+        with pytest.raises(ValueError, match="field size"):
+            bound_regime2(q, 2, 10, 5, 7, 2)
+
+
 def test_bound_regime2_fields():
     rep = bound_regime2(101, 2, 99, 47, 50, 2)  # m - t = 3, s = 0
     assert rep.h_window is not None and rep.w_bound is not None
