@@ -42,6 +42,7 @@ from .experiments import (
     hasse_checks,
     sweep_csv,
     sweep_rows,
+    without_digit_limit,
 )
 from .groups import (
     BudgetExceededError,
@@ -279,7 +280,7 @@ def cmd_experiment(args) -> int:
             "prng": PRNG_NAME,
             "rows": [{k: row[k] for k in CSV_HEADER} for row in rows],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = without_digit_limit(lambda: json.dumps(payload, indent=2)) + "\n"
     else:
         text = sweep_csv(config)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -7,9 +7,9 @@ complement of those summing to the inverse of P0).  The players are G minus
 the identity and P0, so the counts come from the closed form for the whole
 group corrected for those two points (``groups.cofinite_subset_sum_counts``),
 not from a dynamic program over the players; a scheme with fewer players
-raises ``UnsupportedExclusionError``.  The counts need only the point group
-and the layout of ``standard_points``, so an exact sweep builds no code
-matrices.  For higher genus there is no group
+raises ``UnsupportedExclusionError``.  The counts and the amplitude need only
+the point group, P0 and n, never the players' group elements, and an exact
+sweep builds no code matrices.  For higher genus there is no group
 table, so proportions are estimated by seeded Monte Carlo against a
 selectable qualification oracle, with Wilson 95% intervals.
 
@@ -26,7 +26,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .curves import (
     BadDegreeError,
     Curve,
     EllipticCurve,
-    GroupTable,
     HyperellipticCurve,
     Point,
     SingularCurveError,
@@ -43,15 +42,17 @@ from .curves import (
     elliptic_curve,
     enumerate_points,
     format_curve_spec,
-    group_structure,  # unused here, but bench/probes.py wraps agss.experiments.group_structure
+    group_structure,
     hyperelliptic_curve,
     parse_curve_spec,
 )
 from .groups import (
     Character,
     TrivialCharacterError,
-    amplitude,
+    UnsupportedExclusionError,
+    amplitude,  # unused here, but bench/probes.py wraps agss.experiments.amplitude
     char_sum,
+    cofinite_amplitude,
     cofinite_subset_sum_counts,
     li_wan_m,
     log_generalized_binomial,
@@ -60,11 +61,11 @@ from .groups import (
 from .scheme import (
     ORACLE_NAMES,
     SchemeInstance,
+    WrongGenusError,
     _decide,
     check_layout,
     decide_block_size,
     enumerate_access,
-    group_images,
     scheme_build,
 )
 
@@ -145,26 +146,31 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 
 # --- exact proportions (genus 1) -------------------------------------------
 
-def _exact_estimates(
-    player_images: tuple[GroupTable, np.ndarray], p0: Point, m: int, ts: Sequence[int]
-) -> dict[int, ProportionEstimate]:
-    """Exact proportions from the point group alone, given
-    ``group_images(curve, players)``: no code matrix is read."""
+def _exact_estimates(curve: Curve, p0: Point, n: int, m: int, ts: Sequence[int]) -> dict[int, ProportionEstimate]:
+    """Exact proportions from the point group, P0 and n alone: the players
+    are the n points of E(F_q) other than O and P0, so no player's group
+    element and no code matrix is read."""
+    if not isinstance(curve, EllipticCurve):
+        raise WrongGenusError("the point group exists only for an elliptic scheme")
     for t in ts:
         if t not in (m - 1, m):
             raise UnsupportedOffsetError(f"exact proportion defined for t in {{m-1, m}}, got t={t}, m={m}")
-    table, images = player_images
+    table = group_structure(curve)
     group = table.group
-    taken = set(map(tuple, images.tolist()))
-    excluded = [a for a in group.elements() if a not in taken]
+    # the players are distinct affine points other than P0, so n = #E - 2 means all of them
+    if n != group.order - 2:
+        raise UnsupportedExclusionError(
+            f"the players must be every point but O and P0: n = {n}, #E - 2 = {group.order - 2}"
+        )
+    p = table.log(p0)
     # t = m counts complements summing to the identity; at t = m - 1 the
     # unqualified complements are exactly those summing to -P0
-    targets = {m: group.identity, m - 1: group.neg(table.log(p0))}
+    targets = {m: group.identity, m - 1: group.neg(p)}
     ts = sorted(set(ts))
-    counts = cofinite_subset_sum_counts(group, excluded, [(t, targets[t]) for t in ts])
+    counts = cofinite_subset_sum_counts(group, [group.identity, p], [(t, targets[t]) for t in ts])
     out = {}
     for t, count in zip(ts, counts):
-        total = math.comb(len(images), t)
+        total = math.comb(n, t)
         qualified = count if t == m else total - count
         p_hat = float(Fraction(qualified, total))
         out[t] = ProportionEstimate(qualified, total, p_hat, p_hat, p_hat, True)
@@ -178,7 +184,7 @@ def exact_proportion_elliptic(scheme: SchemeInstance, t: int) -> ProportionEstim
     ``standard_scheme``; any other player set raises
     ``groups.UnsupportedExclusionError``.
     """
-    return _exact_estimates(scheme.player_images, scheme.p0, scheme.m, [t])[t]
+    return _exact_estimates(scheme.curve, scheme.p0, scheme.n, scheme.m, [t])[t]
 
 
 # --- Monte Carlo -------------------------------------------------------------
@@ -252,6 +258,8 @@ def mc_proportion(
 
 def bound_theorem3(n: int, t: int, group_order: int, phi: float) -> BoundReport:
     """1/N + C(M, t)/C(n, t), the genus-1 bound on the t = m proportion."""
+    if not 0 <= t <= n:
+        raise ValueError(f"subset size t={t} out of range 0..{n}")
     if not 0 <= phi <= n:
         raise ValueError(f"amplitude {phi} outside [0, {n}]")
     if group_order < 1:
@@ -273,6 +281,8 @@ def _star_bound(q: int, g: int, n: int, t: int, c: int, d: int) -> BoundReport:
     """
     if q < 2:
         raise ValueError(f"field size must be >= 2, got {q}")
+    if not 0 <= t <= n:
+        raise ValueError(f"subset size t={t} out of range 0..{n}")
     sq = math.sqrt(q)
     phi = (2 * g - 2) * sq + c
     factor = 2 * g * sq / (sq - 1) - q / (q - 1)
@@ -446,19 +456,16 @@ def sweep_rows(config: ExperimentConfig) -> list[dict]:
         n = len(players)
         c = len(enumerate_points(curve)) - n
 
-        # one pass over the players' group elements serves Phi and the exact
-        # counts (exact mode on a non-elliptic curve raises WrongGenusError)
-        if g == 1 or config.mode == "exact":
-            player_images = group_images(curve, players)
         if g == 1:
-            table, images = player_images
-            phi = amplitude(table.group, images)
+            # the players are the group minus O and P0 (standard_points)
+            table = group_structure(curve)
             n_group = table.group.order
+            phi = cofinite_amplitude(table.group, [table.group.identity, table.log(p0)])
 
         estimates: dict[int, ProportionEstimate] = {}
         ts = [m - off for off in config.offsets]
         if config.mode == "exact":
-            estimates = _exact_estimates(player_images, p0, m, ts)
+            estimates = _exact_estimates(curve, p0, n, m, ts)
         else:
             for t in ts:
                 if config.mode == "exhaustive":
@@ -502,13 +509,28 @@ def sweep_rows(config: ExperimentConfig) -> list[dict]:
 
 def sweep_csv(config: ExperimentConfig) -> str:
     """Render sweep rows as CSV text; byte-identical for identical configs."""
+    rows = sweep_rows(config)
     buf = io.StringIO()
     buf.write(f"# seed={config.seed} prng={PRNG_NAME} version={__version__}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in sweep_rows(config):
-        writer.writerow([_format_cell(row[k]) for k in CSV_HEADER])
+    writer.writerows(without_digit_limit(lambda: [[_format_cell(row[k]) for k in CSV_HEADER] for row in rows]))
     return buf.getvalue()
+
+
+def without_digit_limit(render: Callable):
+    """``render()`` with Python's int-to-str digit limit lifted, and restored
+    after, also on error: exact counts pass its 4300 digits near q = 14 300."""
+    import sys
+
+    if not hasattr(sys, "set_int_max_str_digits"):  # no limit before Python 3.10.7
+        return render()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return render()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _format_cell(v) -> str:

@@ -18,9 +18,10 @@ rebuilt by the Chinese remainder theorem only when it is read; memory is
 one (t+1) x N word table per modulus.  ``cofinite_subset_sum_counts`` takes
 the whole group minus the identity and one more point, the shape of an
 elliptic scheme's players: the whole-group count has a closed form in
-binomials and Moebius sums per divisibility class, and the two excluded
-points enter through (1 + z)^(-1) and (1 + pz)^(-1), all in exact Python
-ints with no table over G.  Only character sums live in floating point.
+binomials and character sums per divisibility class, and the two excluded
+points enter through (1 + z)^(-1) and (1 + pz)^(-1), in one pass over the
+subset size in exact Python ints with no table over G or over the sizes.
+Only character sums live in floating point.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import operator
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -120,7 +121,7 @@ class AbelianGroup:
         return tuple(int(v) for v in a)
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.factors))
+        return tuple(map(operator.mod, map(operator.add, a, b), self.factors))
 
     def neg(self, a: GroupElement) -> GroupElement:
         return tuple(-x % d for x, d in zip(a, self.factors))
@@ -307,14 +308,24 @@ def amplitude(group: AbelianGroup, points: Sequence[GroupElement]) -> float:
     Evaluated through a multidimensional DFT of the indicator array of P,
     which enumerates all character sums at once.
     """
+    indicator = np.zeros(group.factors)
+    for a in _check_point_set(group, points):
+        indicator[a] = 1.0
+    return _largest_character_sum(group, indicator)
+
+
+def cofinite_amplitude(group: AbelianGroup, excluded: Sequence[GroupElement]) -> float:
+    """``amplitude`` of G minus ``excluded``, from the same indicator array
+    (so the same float), built without reading the rest of G."""
+    indicator = np.ones(group.factors)
+    for a in _check_point_set(group, excluded):
+        indicator[a] = 0.0
+    return _largest_character_sum(group, indicator)
+
+
+def _largest_character_sum(group: AbelianGroup, indicator: np.ndarray) -> float:
     if group.order < 2:
         raise TrivialGroupError("amplitude needs a group of order >= 2")
-    pts = _check_point_set(group, points)
-    if not pts:
-        return 0.0
-    indicator = np.zeros(group.factors)
-    for a in pts:
-        indicator[a] = 1.0
     spectrum = np.abs(np.fft.fftn(indicator))
     spectrum.flat[0] = 0.0  # trivial character excluded by definition
     return float(spectrum.max())
@@ -430,70 +441,30 @@ def subset_sum_count(group: AbelianGroup, points: Sequence[GroupElement], t: int
 
 # --- counts on the whole group minus a few points -------------------------------
 
-def _mobius(n: int) -> int:
-    """The Moebius function mu(n)."""
-    exponents = _factorize(n).values()
-    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
-
-
-def _whole_group_counts(group: AbelianGroup, divisors: list[int], t: int) -> list[list[int]]:
-    """F[k][c], k = 0..t: the number of k-subsets of G summing to an element b
-    of class c, i.e. whose largest s with b in sG is divisors[c].
-
-        F(k, b) = (1/N) sum_{d | gcd(k, e)} (-1)^(k + k/d) C(N/d, k/d) Phi_d(b)
-
-    with Phi_d(b) = sum_{s | d} mu(d/s) |G/sG| [b in sG], the sum of the
-    characters of order d at b, and |G/sG| = prod_i gcd(s, d_i).  It holds
-    because prod_{g in G} (1 + chi(g) z) = (1 - (-z)^d)^(N/d) for a character
-    chi of order d.  The s with b in sG are exactly the divisors of the
-    largest one, so the class determines every membership [b in sG].
-    """
-    size = group.order
-    quotient = {s: math.prod(math.gcd(s, d) for d in group.factors) for s in divisors}
-    phi = {}
-    for d in divisors:
-        terms = [(s, _mobius(d // s) * quotient[s]) for s in divisors if d % s == 0]
-        phi[d] = [sum(w for s, w in terms if top % s == 0) for top in divisors]
-    binom = dict.fromkeys(divisors, 1)  # C(N/d, k/d) at the last multiple k of d
-    table = []
-    for k in range(t + 1):
-        acc = [0] * len(divisors)
-        for d in divisors:
-            if k % d == 0:
-                j = k // d
-                if j:  # C(n, j) = C(n, j - 1) (n - j + 1) / j, exactly
-                    binom[d] = binom[d] * (size // d - j + 1) // j
-                coeff = -binom[d] if (k + j) % 2 else binom[d]
-                acc = [a + coeff * v for a, v in zip(acc, phi[d])]
-        row = []
-        for a in acc:
-            count, rem = divmod(a, size)
-            if rem:
-                raise ClosedFormError(f"whole-group count at k={k} leaves remainder {rem} mod {size}")
-            row.append(count)
-        table.append(row)
-    return table
-
-
 def cofinite_subset_sum_counts(
     group: AbelianGroup, excluded: Sequence[GroupElement], cells: Sequence[tuple[int, GroupElement]]
 ) -> list[int]:
     """Exact counts of the t-subsets of G \\ X summing to b, one per cell (t, b).
 
     X = ``excluded`` holds at most one element p besides the identity O, as
-    for the players of an elliptic scheme (all points but O and P0); any
-    other X raises ``UnsupportedExclusionError``.  In the group algebra,
-    prod_{g not in X} (1 + gz) = prod_{g in G} (1 + gz) * prod_{x in X} (1 + xz)^(-1).
-    For x = O the inverse is sum_u (-z)^u, which keeps b, so the count over
-    G \\ {O} is E(k, b) = F(k, b) - E(k - 1, b) with F the whole-group
-    closed form of ``_whole_group_counts``; for x = p it is
-    sum_j (-1)^j (jp) z^j, which gives
+    for an elliptic scheme's players; any other X raises
+    ``UnsupportedExclusionError``.  prod_{x in X} (1 + xz)^(-1) is
+    sum_j (-z)^j H_j with H_j = {jx} for X = {x}, {O, p, ..., jp} for
+    X = {O, p}, and H_0 = {O} alone for X empty, so
+    N(t, b) = sum_k (-1)^(t-k) sum_{u in H_(t-k)} F(k, b - u), where the
+    count over the whole group is, as prod_{g in G} (1 + chi(g) z) =
+    (1 - (-z)^d)^(N/d) for a character chi of order d,
 
-        N(t, b) = sum_{j=0..t} (-1)^j E(t - j, b - jp).
+        N F(k, b) = sum_{d | gcd(k, e)} (-1)^(k + k/d) C(N/d, k/d) Phi_d(b).
 
-    F and E depend on their element only through a divisibility class, so
-    they are tabulated once per class, and everything is exact Python ints:
-    about tau(e) * t terms for the table and t + 1 per cell.
+    Phi_d(b), the sum of the characters of order d at b, solves
+    sum_{r | d} Phi_r(b) = |G/dG| [b in dG], so it depends only on b's class,
+    the largest s | e with b in sG.  One pass over k = max t..0 keeps
+    O(tau(e)) exact ints: the binomials C(N/d, k/d) and per cell the class
+    weights W_d = sum_{u in H_(t-k)} Phi_d(b - u), which take in one class a
+    step; a count is (-1)^t / N times the sum of (-1)^(k/d) C(N/d, k/d) W_d.
+    Every N F(k, c) is checked for divisibility by N on residues, one matrix
+    product per block of k; a remainder raises ``ClosedFormError``.
     """
     xs = _check_point_set(group, excluded)
     others = [x for x in xs if x != group.identity]
@@ -511,32 +482,76 @@ def cofinite_subset_sum_counts(
     if not ts:
         return []
 
-    e = group.factors[-1]
+    size, factors = group.order, group.factors
+    e = factors[-1]
     divisors = [s for s in range(1, e + 1) if e % s == 0]
-    counts = _whole_group_counts(group, divisors, max(ts))
-    if len(others) < len(xs):  # the identity is excluded
-        for k in range(1, len(counts)):
-            counts[k] = [f - prev for f, prev in zip(counts[k], counts[k - 1])]
-    gcds = [[math.gcd(s, d) for d in group.factors] for s in divisors]
+    quotient = [math.prod(math.gcd(s, d) for d in factors) for s in divisors]
+    # class c -> [Phi_d(c) for d in divisors]: invert |G/dG| [d | c] by
+    # f(d) -= f(d / p) one prime p at a time, larger d first
+    steps = [(i, divisors.index(d // p)) for p in _factorize(e)
+             for i, d in reversed(list(enumerate(divisors))) if d % p == 0]
+    phi = {}
+    for c in divisors:
+        row = phi[c] = [q * (c % d == 0) for d, q in zip(divisors, quotient)]
+        for i, j in steps:
+            row[i] -= row[j]
 
-    @cache
-    def divisor_class(b: GroupElement) -> int:
-        # the largest s | e with b in sG, i.e. gcd(s, d_i) | b_i for every i
-        return max(c for c, row in enumerate(gcds) if all(v % g == 0 for v, g in zip(b, row)))
+    def phi_at(b: GroupElement) -> list[int]:
+        # Phi_d at the class of b: s | b_k, and gcd(s, d_i) | b_i for i < k
+        s = math.gcd(b[-1], e)
+        for v, d in zip(b, factors[:-1]):
+            g = math.gcd(s, d)
+            while v % g:  # drop from s the primes where gcd(s, d) exceeds v
+                s //= g // math.gcd(g, v)
+                g = math.gcd(s, d)
+        return phi[s]
 
-    out = []
-    for t, b in zip(ts, targets):
-        if not others:
-            out.append(counts[t][divisor_class(b)])
-            continue
-        minus_p = group.neg(others[0])
-        total = 0
-        for j in range(t + 1):  # b runs through b - jp
-            term = counts[t - j][divisor_class(b)]
-            total += -term if j % 2 else term
-            b = group.add(b, minus_p)
-        out.append(total)
-    return out
+    step = group.neg(others[0] if others else group.identity)
+    top = max(ts)
+    binom = [math.comb(size // d, top // d) for d in divisors]  # C(N/d, j) at the largest j d <= k
+    entering = sorted(range(len(ts)), key=ts.__getitem__)
+    live: list[list] = []  # [cell, b - jx, W] with j = t - k
+    sums = [[0] * len(ts), [0] * len(ts)]  # per cell, the terms with k/d even and odd
+    # N F(k, c) mod N for a block of k: a product entry is below tau(e) N^2 in size
+    dtype = np.int64 if len(divisors) * size**2 < 2**63 else object
+    phi_mod = np.array([phi[c] for c in divisors], dtype=dtype).T % size
+    residues = np.zeros((min(top + 1, 1024), len(divisors)), dtype=dtype)
+    for k in range(top, -1, -1):
+        for cell in live:
+            cell[1] = v = group.add(cell[1], step)
+            cell[2] = list(map(operator.add, cell[2], phi_at(v))) if len(xs) == 2 else phi_at(v)
+        while entering and ts[entering[-1]] == k:
+            c = entering.pop()
+            live.append([c, targets[c], phi_at(targets[c])])
+
+        row = k % len(residues)
+        residues[row] = 0
+        coeffs = []
+        g = math.gcd(k, e)
+        for i, d in enumerate(divisors):
+            if d > g:
+                break
+            if g % d == 0:
+                j = k // d
+                coeffs.append((i, binom[i], j % 2))
+                r = binom[i] % size
+                residues[row, i] = -r if j % 2 else r
+                if j:  # C(n, j - 1) = C(n, j) j / (n - j + 1), exactly
+                    binom[i] = binom[i] * j // (size // d - j + 1)
+        for c, _, w in live:
+            for i, binomial, odd in coeffs:
+                sums[odd][c] += binomial * w[i]
+        if not xs:
+            live.clear()  # H_j is empty for j >= 1
+
+        if row == 0:  # the block holds k .. k + len - 1, rows past max t are zero
+            rem = residues @ phi_mod % size
+            if rem.any():
+                r, c = np.argwhere(rem)[0]
+                raise ClosedFormError(
+                    f"whole-group count at k={k + r}, class {divisors[c]} leaves remainder {rem[r, c]} mod {size}"
+                )
+    return [(even - odd if t % 2 == 0 else odd - even) // size for t, even, odd in zip(ts, *sums)]
 
 
 # --- cycle-type combinatorics ---------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from agss.cli import main
 from agss.curves import elliptic_curve
-from agss.experiments import standard_scheme, exact_proportion_elliptic
+from agss.experiments import CSV_HEADER, standard_scheme, exact_proportion_elliptic
 from agss.scheme import share
 
 
@@ -189,6 +189,10 @@ FAILURES = [
                  2, id="bound4-q-1"),
     pytest.param(["bound", "--theorem", "4", "--genus", "2", "--n", "10", "--t", "5", "--m", "6", "--c", "2"], 2,
                  id="bound4-without-q"),
+    pytest.param(["bound", "--theorem", "3", "--n", "10", "--t", "20", "--group-order", "5", "--phi", "2"], 2,
+                 id="bound3-t-above-n"),
+    pytest.param(["bound", "--theorem", "4", "--q", "101", "--genus", "2", "--n", "10", "--t", "20", "--m", "20", "--c", "2"],
+                 2, id="bound4-t-above-n"),
     pytest.param(["scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5", "--action", "share", "--secret", "5", "--seed", "-1"],
                  2, id="share-negative-seed"),
     pytest.param(["scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5", "--action", "reconstruct", "--subset", "99",
@@ -225,6 +229,33 @@ def test_unexpected_errors_propagate(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="a library bug"):
         main(["experiment", "--curve", "ec:p=13,a=1,b=1", "--seed", "1", "--out", str(out)])
     assert not out.exists()
+
+
+def test_experiment_writes_counts_past_the_int_digit_limit(capsys, tmp_path, monkeypatch):
+    # exact counts pass Python's 4300-digit int-to-str limit from q ~ 14 300
+    import agss.cli
+    import agss.experiments
+
+    digits = "1" + "0" * 4999
+    row = dict(zip(CSV_HEADER, [20011, "ec:p=20011,a=1,b=1", 1, 19793, 9896, 9896, 0, "exact", "kernel",
+                                10**4999, 10**4999, 0.5, 0.5, 0.5, 1.0]))
+    monkeypatch.setattr(agss.experiments, "sweep_rows", lambda config: [row])
+    monkeypatch.setattr(agss.cli, "sweep_rows", lambda config: [row])
+    limit = sys.get_int_max_str_digits()
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"rows.{fmt}"
+        code, _, err = run(capsys, "experiment", "--curve", "ec:p=13,a=1,b=1", "--seed", "1",
+                           "--format", fmt, "--out", str(out))
+        assert (code, err) == (0, f"wrote {out}\n")
+        assert out.read_text().count(digits) == 2
+        assert sys.get_int_max_str_digits() == limit
+
+    def broken():
+        raise RuntimeError("rendering failed")
+
+    with pytest.raises(RuntimeError):
+        agss.experiments.without_digit_limit(broken)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_bound_command(capsys):

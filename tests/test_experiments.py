@@ -95,17 +95,20 @@ def test_exact_proportion_guards():
         exact_proportion_elliptic(small_genus2_scheme(), 2)
 
 
-def test_exact_sweep_reads_the_players_group_elements_once_per_curve(monkeypatch):
-    curves = []
+def test_exact_sweep_reads_no_players_group_elements(monkeypatch):
+    calls = []
 
     def record(curve, points):
-        curves.append(curve.field.p)
+        calls.append(curve.field.p)
         return group_images(curve, points)
 
-    monkeypatch.setattr(experiments, "group_images", record)
+    monkeypatch.setattr(scheme_module, "group_images", record)
+    monkeypatch.setattr(experiments, "group_images", record, raising=False)
     rows = sweep_rows(ExperimentConfig(seed=1, q_values=(13, 101), offsets=(0, 1), mode="exact"))
-    # one call per curve serves both the amplitude and the exact counts
-    assert curves == [13, 101]
+    sch = small_elliptic_scheme()
+    exact_proportion_elliptic(sch, sch.m)
+    # the amplitude and the exact counts need only the group, P0 and n
+    assert calls == []
     assert len(rows) == 4
 
 
@@ -291,6 +294,15 @@ def test_exact_counts_past_the_dp_budget_at_q2003():
         (m, counts[0]),
         (m - 1, math.comb(n, m - 1) - counts[1]),
     ]
+
+
+def test_bounds_reject_a_subset_size_above_n():
+    with pytest.raises(ValueError, match=r"t=20 out of range 0\.\.10"):
+        bound_theorem3(10, 20, 5, 2.0)
+    with pytest.raises(ValueError, match=r"t=20 out of range 0\.\.10"):
+        bound_theorem4(101, 2, 10, 20, 20, 2)
+    with pytest.raises(ValueError, match=r"t=-1 out of range 0\.\.10"):
+        bound_regime2(101, 2, 10, -1, 1, 2)
 
 
 def test_bound_theorem4_examples():

@@ -1,21 +1,28 @@
 import itertools
 import math
+import tracemalloc
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agss.experiments import find_elliptic_curve, standard_scheme
+from agss import groups as groups_module
+from agss.curves import group_structure
+from agss.experiments import find_elliptic_curve, standard_points, standard_scheme
 from agss.groups import (
     AbelianGroup,
     BudgetExceededError,
+    ClosedFormError,
     InstanceTooLargeError,
     InvalidCycleTypeError,
     TrivialGroupError,
     UnsupportedExclusionError,
     amplitude,
     char_sum,
+    cofinite_amplitude,
     cofinite_subset_sum_counts,
     cycle_gen_function,
     cycle_type_count,
@@ -33,8 +40,8 @@ from agss.groups import (
     subset_sum_table,
     two_generator_table,
 )
-from agss.groups import _whole_group_counts
 
+DATA = Path(__file__).resolve().parent / "data"
 Z5 = AbelianGroup((5,))
 Z4 = AbelianGroup((4,))
 Z2x12 = AbelianGroup((2, 12))
@@ -323,11 +330,97 @@ def reference_whole_group_counts(group, divisors, t):
 
 @pytest.mark.parametrize("factors", [(1, 105), (1, 432), (2, 1004), (2, 6, 60)])
 def test_whole_group_counts_match_fresh_binomials(factors):
+    # with nothing excluded the streamed count is F(k, c); (0, ..., 0, c) has class c
     g = AbelianGroup(factors)
     e = factors[-1]
     divisors = [s for s in range(1, e + 1) if e % s == 0]
     t = g.order // 2 + 1
-    assert _whole_group_counts(g, divisors, t) == reference_whole_group_counts(g, divisors, t)
+    cells = [(k, (0,) * (len(factors) - 1) + (c % e,)) for k in range(t + 1) for c in divisors]
+    table = reference_whole_group_counts(g, divisors, t)
+    assert cofinite_subset_sum_counts(g, [], cells) == [v for row in table for v in row]
+
+
+def reference_cofinite_counts(group, p, cells):
+    """N(t, b) over G minus {O, p}: E(k) = F(k) - E(k - 1) from the reference
+    F table, then sum_j (-1)^j E(t - j, b - jp), with the class of an element
+    found by testing every divisor."""
+    e = group.factors[-1]
+    divisors = [s for s in range(1, e + 1) if e % s == 0]
+    rows, prev = [], [0] * len(divisors)
+    for row in reference_whole_group_counts(group, divisors, max(t for t, _ in cells)):
+        prev = [f - x for f, x in zip(row, prev)]
+        rows.append(prev)
+
+    def divisor_class(b):
+        return max(c for c, s in enumerate(divisors) if all(v % math.gcd(s, d) == 0 for v, d in zip(b, group.factors)))
+
+    out = []
+    for t, b in cells:
+        total = 0
+        for j in range(t + 1):
+            total += (-1) ** j * rows[t - j][divisor_class(b)]
+            b = group.add(b, group.neg(p))
+        out.append(total)
+    return out
+
+
+def sweep_cells(q):
+    """The point group, P0's element and the two cells of the exact sweep at q."""
+    curve = find_elliptic_curve(q)
+    table = group_structure(curve)
+    g = table.group
+    p0, _, m = standard_points(curve, 0.5)
+    p = table.log(p0)
+    return g, p, [(m, g.identity), (m - 1, g.neg(p))]
+
+
+@pytest.mark.parametrize("q", [101, 211, 401, 2003])
+def test_streamed_sweep_counts_match_fresh_binomials(q):
+    g, p, cells = sweep_cells(q)
+    assert cofinite_subset_sum_counts(g, [g.identity, p], cells) == reference_cofinite_counts(g, p, cells)
+
+
+def test_streamed_counts_keep_no_rows():
+    # keeping every row F[k], E[k] peaked at 77 MB here
+    g, p, cells = sweep_cells(10007)
+    tracemalloc.start()
+    try:
+        counts = cofinite_subset_sum_counts(g, [g.identity, p], cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    # the recorded sweep: t = m qualified iff the sum is O, t = m - 1 unqualified iff it is -P0
+    lines = (DATA / "q10007.csv").read_text().splitlines()[2:]
+    recorded = [int(line.split(",")[-5]) for line in lines]
+    assert recorded == [counts[0], math.comb(g.order - 2, cells[1][0]) - counts[1]]
+
+
+def test_closed_form_error_reports_a_wrong_binomial(monkeypatch):
+    # C(N, t) one too large adds Phi_1 = 1 to N F(t, c) for every class c
+    fake = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math) if not name.startswith("_")})
+    fake.comb = lambda n, k: math.comb(n, k) + (n == 432)
+    monkeypatch.setattr(groups_module, "math", fake)
+    g = AbelianGroup((1, 432))
+    with pytest.raises(ClosedFormError, match="at k=200, class 1 leaves remainder 1 mod 432"):
+        cofinite_subset_sum_counts(g, [g.identity, (0, 5)], [(200, g.identity)])
+    with pytest.raises(ClosedFormError, match="at k=0, class 1 leaves remainder 1 mod 432"):
+        cofinite_subset_sum_counts(g, [], [(0, g.identity)])
+    # past one block of residues
+    fake.comb = lambda n, k: math.comb(n, k) + (n == 2400)
+    g = AbelianGroup((2, 1200))
+    with pytest.raises(ClosedFormError, match="at k=1100, class 1 leaves remainder 1 mod 2400"):
+        cofinite_subset_sum_counts(g, [g.identity, (1, 7)], [(1100, g.identity)])
+
+
+@pytest.mark.parametrize("q", [13, 101, 211, 401, 2003, 10007])
+def test_amplitude_from_the_layout_is_the_players_amplitude(q):
+    curve = find_elliptic_curve(q)
+    table = group_structure(curve)
+    g = table.group
+    p0, players, _ = standard_points(curve, 0.5)
+    images = [table.log(pt) for pt in players]
+    assert cofinite_amplitude(g, [g.identity, table.log(p0)]) == amplitude(g, images)
 
 
 @settings(deadline=None, max_examples=40)
