@@ -423,6 +423,8 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.genus < 1:
             raise ValueError("genus must be >= 1")
         for off in self.offsets:

@@ -12,8 +12,9 @@ Three independent oracles decide this:
 
 * ``kernel`` -- does some function vanish on the complement A = players \\ S
   while staying nonzero at P0?  (linear algebra on the function basis)
-* ``dual``   -- does the evaluation code contain a word equal to 1 at
-  position 0 and supported inside {0} union S?  (solved on code coordinates)
+* ``dual``   -- is there an evaluation-code word equal to 1 at position 0
+  and zero on A?  (decided on the generator matrix: the system
+  [player_rows[A]; p0_row] c = e_last that ``reconstruct`` solves)
 * ``clx``    -- the group-law criterion on elliptic curves: with t = |A| and
   B the group inverse of the sum of A, qualified means t <= m - 2, or
   t = m and the sum of A is the group identity, or t = m - 1 and B != P0.
@@ -51,7 +52,6 @@ from .field import (
     NoSolutionError,
     _eliminate,
     _kernel_basis,
-    _solve,
     in_row_space,  # unused here, but bench/probes.py wraps agss.scheme.in_row_space
     kernel_array,  # unused here, but bench/probes.py wraps agss.scheme.kernel_array
     matvec_array,
@@ -283,6 +283,8 @@ def share(scheme: SchemeInstance, secret, seed: int) -> ShareVector:
     Deterministic for a fixed (scheme, secret, seed): the PCG64 stream seeded
     by ``seed`` supplies the coset coefficients.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     p = scheme.field.p
     s_val = _residue(scheme.field, secret)
     w = scheme.omega_matrix
@@ -315,17 +317,32 @@ def _complement(scheme: SchemeInstance, subset: Sequence[int]) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-def _p0_witness(scheme: SchemeInstance, a_idx) -> np.ndarray:
-    """Coefficients c of a function vanishing at the players in A with
-    c(P0) = 1: the solution of [player_rows[A]; p0_row] c = e_last.
+def _p0_systems(scheme: SchemeInstance, a_block: np.ndarray):
+    """The systems [player_rows[A]; p0_row] c = e_last, one per row A of a
+    B x t block: stacked B x (t + 1) x dim_code, and their right-hand side.
+
+    A solution c is a function vanishing at the players in A with c(P0) = 1,
+    so a system is solvable exactly when the complement of A is qualified.
+    Every complement has t players, so the systems stack unpadded.
+    """
+    count, t = a_block.shape
+    rows = np.empty((count, t + 1, scheme.dim_code), dtype=np.int64)
+    rows[:, :t] = scheme.player_rows[a_block]
+    rows[:, t] = scheme.p0_row
+    rhs = np.zeros(t + 1, dtype=np.int64)
+    rhs[t] = 1
+    return rows, rhs
+
+
+def _p0_witness(scheme: SchemeInstance, a_idx: np.ndarray) -> np.ndarray:
+    """The solution c of A's system in ``_p0_systems``: a function vanishing
+    at the players in A with c(P0) = 1.
 
     Raises NoSolutionError when every function vanishing on A also vanishes
     at P0, i.e. when the complement of A is not qualified.
     """
-    rows = np.vstack([scheme.player_rows[a_idx], scheme.p0_row[None, :]])
-    rhs = np.zeros(len(a_idx) + 1, dtype=np.int64)
-    rhs[-1] = 1
-    return solve_array(rows, rhs, scheme.field.p)
+    rows, rhs = _p0_systems(scheme, a_idx[None])
+    return solve_array(rows[0], rhs, scheme.field.p)
 
 
 def reconstruct(scheme: SchemeInstance, subset: Sequence[int], shares: Sequence) -> FieldElement:
@@ -386,27 +403,10 @@ def _kernel_qualified(scheme: SchemeInstance, a_idx) -> bool:
     return bool(_kernel_block(scheme, np.asarray(a_idx, dtype=np.int64)[None])[0])
 
 
-def _dual_systems(scheme: SchemeInstance, a_block: np.ndarray):
-    """The S-column systems W_S y = -W_0, one per row of a B x t block,
-    stacked B x (dim share code) x (n - t), their right-hand side and the
-    code coordinates of each S.
-
-    The share-code constraint W v = 0 admits v with v_0 = 1 and support
-    inside {0} union S exactly when this system is solvable.  Every
-    complement leaves n - t columns, so the systems stack unpadded.
-    """
-    w = scheme.omega_matrix
-    count, t = a_block.shape
-    mask = np.ones((count, scheme.n + 1), dtype=bool)
-    mask[:, 0] = False
-    mask[np.arange(count)[:, None], a_block + 1] = False
-    s_cols = np.nonzero(mask)[1].reshape(count, scheme.n - t)
-    return np.moveaxis(w[:, s_cols], 1, 0), (-w[:, 0]) % scheme.field.p, s_cols
-
-
 def _dual_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
-    w_s, rhs, _ = _dual_systems(scheme, a_block)
-    return solvable_stack(w_s, rhs, scheme.field.p)
+    """Qualified iff A's system in ``_p0_systems`` is solvable, for each row
+    A of a nonempty B x t block, decided by one batched elimination."""
+    return solvable_stack(*_p0_systems(scheme, a_block), scheme.field.p)
 
 
 def _clx_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
@@ -436,7 +436,8 @@ def decide_block_size(scheme: SchemeInstance, t: int, oracle: str) -> int:
     * kernel -- the mean kept pivot rows + 1 by the mean used free columns
       + 2: the hypergeometric means of a random t-subset of the players
       against the P - 1 player pivots and the n - P + 1 free columns;
-    * dual -- n - t + 1 columns of dim_share_code equations;
+    * dual -- an evaluation-code word, decided on the generator matrix:
+      dim_code + 1 columns of t + 1 equations (``_p0_systems``);
     * clx -- t group elements of two int64 coordinates.
     """
     itemsize = np.dtype(stack_dtype(scheme.field.p)).itemsize
@@ -446,7 +447,7 @@ def decide_block_size(scheme: SchemeInstance, t: int, oracle: str) -> int:
         used = t * (n - pivots + 1) / n
         nbytes = (kept + 1) * (used + 2) * itemsize
     elif oracle == "dual":
-        nbytes = (scheme.n - t + 1) * scheme.dim_share_code * itemsize
+        nbytes = (t + 1) * (scheme.dim_code + 1) * itemsize
     elif oracle == "clx":
         nbytes = 16 * t
     else:
@@ -477,19 +478,13 @@ def is_qualified_kernel(scheme: SchemeInstance, subset: Sequence[int]) -> Qualif
 
 
 def is_qualified_dual(scheme: SchemeInstance, subset: Sequence[int]) -> QualifiedVerdict:
-    """Code-coordinate oracle; decides on the share-code basis columns."""
+    """Evaluation-code oracle, decided on the generator matrix; when
+    qualified, the witness is the solution of the complement's system."""
     a_idx = _complement(scheme, _check_subset(scheme, subset))
-    p = scheme.field.p
-    w_s, rhs, s_cols = _dual_systems(scheme, a_idx[None])
-    y = _solve(w_s[0], rhs, p)  # one elimination gives the verdict and the word
-    if y is None:
+    try:
+        return QualifiedVerdict(True, _p0_witness(scheme, a_idx))
+    except NoSolutionError:
         return QualifiedVerdict(False)
-    codeword = np.zeros(scheme.n + 1, dtype=np.int64)
-    codeword[0] = 1
-    codeword[s_cols[0]] = y
-    # lift the evaluation-code word back to a function for the witness
-    witness = solve_array(scheme.gen_matrix.T, codeword, p)
-    return QualifiedVerdict(True, witness)
 
 
 def is_qualified_clx(scheme: SchemeInstance, subset: Sequence[int]) -> QualifiedVerdict:
@@ -501,8 +496,8 @@ def is_qualified_clx(scheme: SchemeInstance, subset: Sequence[int]) -> Qualified
 def privacy_check(scheme: SchemeInstance, subset: Sequence[int]) -> PrivacyVerdict:
     """Whether the subset's share coordinates pin down the secret coordinate.
 
-    On the share-code basis, the position-0 column must lie in the span of
-    the subset's columns; that is the dual oracle's solvability test.
+    It does exactly when the dual oracle finds an evaluation-code word, 1 at
+    position 0 and zero on the complement, decided on the generator matrix.
     """
     a_idx = _complement(scheme, _check_subset(scheme, subset))
     if _decide_one(scheme, a_idx, "dual"):

@@ -137,6 +137,40 @@ def test_scheme_qualify_oracle_disagreement_exits_5(capsys, monkeypatch):
     assert "oracle disagreement" in err
 
 
+def test_corrupted_share_code_basis_makes_kernel_and_dual_disagree(capsys, monkeypatch):
+    # the kernel oracle reads omega_matrix and the dual only gen_matrix, so
+    # one wrong entry of the share-code basis shows as a disagreement
+    # instead of fooling both oracles together
+    import dataclasses
+    import itertools
+
+    import agss.cli
+    from agss.curves import affine_points, hyperelliptic_curve
+    from agss.scheme import _decide_one, scheme_build
+
+    curve = hyperelliptic_curve(11, [1, 0, 0, 0, 0, 1])
+    pts = affine_points(curve)
+    sch = scheme_build(curve, pts[0], pts[1:], 5)
+    omega = sch.omega_matrix.copy()
+    omega[0, sch.pivots[1]] = (omega[0, sch.pivots[1]] + 1) % sch.field.p
+    omega.flags.writeable = False
+    corrupted = dataclasses.replace(sch, omega_matrix=omega)
+    disagree = [
+        a for t in range(sch.n + 1) for a in itertools.combinations(range(sch.n), t)
+        if _decide_one(corrupted, a, "kernel") != _decide_one(corrupted, a, "dual")
+    ]
+    assert disagree
+
+    monkeypatch.setattr(agss.cli, "_build_scheme_from_args", lambda args: (corrupted, curve))
+    subset = ",".join(str(i + 1) for i in range(sch.n) if i not in disagree[0])
+    code, _, err = run(
+        capsys, "scheme", "--curve", "hyp:p=11,f=1,0,0,0,0,1", "--m", "5",
+        "--action", "qualify", "--subset", subset,
+    )
+    assert code == 5
+    assert "oracle disagreement" in err
+
+
 def test_scheme_p0_override(capsys):
     # (0, 1) lies on y^2 = x^3 + x + 1 over F_13
     code, out, _ = run(
@@ -205,6 +239,8 @@ FAILURES = [
     pytest.param(["experiment", "--config", "{tmp}/no-section.ini", "--out", "{tmp}/x.csv"], 2,
                  id="experiment-config-without-section-header"),
     pytest.param(["experiment", "--curve", "ec:p=13,a=1,b=1", "--seed", "1"], 2, id="experiment-without-out"),
+    pytest.param(["experiment", "--curve", "ec:p=13,a=1,b=1", "--mode", "montecarlo", "--seed", "-1",
+                  "--out", "{tmp}/x.csv"], 2, id="experiment-negative-seed"),
 ]
 
 
@@ -216,6 +252,9 @@ def test_failures_exit_with_one_error_line(capsys, tmp_path, argv, code):
     assert out == ""
     assert [line for line in err.splitlines() if line.startswith("error:")] == [err.splitlines()[0]]
     assert "Traceback" not in err
+    if "--seed" in argv and argv[argv.index("--seed") + 1] == "-1":
+        # the message names the value, not only numpy's "expected non-negative integer"
+        assert "-1" in err.splitlines()[0]
 
 
 def test_unexpected_errors_propagate(tmp_path, monkeypatch):

@@ -219,17 +219,15 @@ def _count_eliminations(monkeypatch):
 def test_qualified_dual_eliminates_the_subset_system_once(monkeypatch):
     sch = build_f13_scheme()
     calls = _count_eliminations(monkeypatch)
-    s = list(range(sch.n - sch.m + 2))
-    verdict = is_qualified_dual(sch, s)
-    assert verdict.qualified
-    # one elimination of the S-column system, one to lift the word to a
-    # function: gen^T c = word, n + 1 equations in dim_code + 1 columns
-    # (the rhs included) with that many bookkeeping entries below them
-    assert len(calls) == 2
-    assert calls[1] == ((1, sch.dim_code + 1, sch.n + 1 + sch.dim_code + 1), sch.n + 1)
-    calls.clear()
-    assert not is_qualified_dual(sch, []).qualified
-    assert len(calls) == 1
+    # one elimination of the complement's system [player_rows[A]; p0_row],
+    # which gives the verdict and the witness: t + 1 equations in dim_code
+    # + 1 columns (the rhs included), with that many bookkeeping entries
+    # below them
+    for s, qualified in ((list(range(sch.n - sch.m + 2)), True), ([], False)):
+        calls.clear()
+        assert is_qualified_dual(sch, s).qualified == qualified
+        t = sch.n - len(s)
+        assert calls == [((1, sch.dim_code + 1, (t + 1) + sch.dim_code + 1), t + 1)]
 
 
 def test_scheme_build_eliminates_the_evaluation_matrix_once(monkeypatch):
