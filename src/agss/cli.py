@@ -24,10 +24,10 @@ from .curves import (
     EllipticCurve,
     SingularCurveError,
     affine_points,
-    enumerate_points,
     format_curve_spec,
     group_structure,
     parse_curve_spec,
+    point_count,
 )
 from .experiments import (
     CSV_HEADER,
@@ -148,12 +148,11 @@ def _build_scheme_from_args(args) -> "tuple":
 
 def cmd_curve_info(args) -> int:
     curve = parse_curve_spec(args.curve)
-    pts = enumerate_points(curve)
     report = hasse_checks(curve)
     print(f"curve={format_curve_spec(curve)}")
     print(f"p={curve.field.p}")
     print(f"genus={curve.genus}")
-    print(f"points={len(pts)}")
+    print(f"points={point_count(curve)}")
     print(f"hasse_ok={str(report.ok).lower()}")
     if isinstance(curve, EllipticCurve):
         factors = group_structure(curve).group.factors

@@ -4,11 +4,16 @@ Two families:
 
 * short Weierstrass elliptic curves ``y^2 = x^3 + a x + b`` (genus 1), which
   additionally carry the chord-tangent group law; ``group_structure``
-  presents their point group as an ``AbelianGroup`` with a full
-  discrete-log table, reading the generators off the first points in
-  enumeration order (``groups.two_generator_table``);
+  presents their point group as an ``AbelianGroup`` on two generators read
+  off the first points in enumeration order
+  (``groups.two_generator_table``), and finds a point's element by
+  baby-step giant-step;
 * odd-degree hyperelliptic curves ``y^2 = f(x)`` with ``deg f = 2g + 1``
   (genus g >= 2), used purely through linear algebra downstream.
+
+``point_count`` counts the rational points with Euler's criterion in numpy,
+without listing them; ``iter_points`` streams them in (x, y) order and
+``enumerate_points`` is that stream as a cached tuple.
 
 Fixing the distinguished pole point at infinity makes the space of functions
 with pole order at most m a clean span of monomials x^i y^j (j in {0, 1}),
@@ -20,10 +25,13 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Union
+from functools import cached_property
+from typing import Iterable, Iterator, Union
+
+import numpy as np
 
 from .field import PrimeField
-from .groups import AbelianGroup, two_generator_table
+from .groups import AbelianGroup, ShanksLog, two_generator_table
 
 
 class SingularCurveError(Exception):
@@ -160,7 +168,15 @@ def _poly_gcd(f, g, p):
 # ``field`` only names p.
 
 class _PlaneModel:
-    """Point test shared by the models y^2 = rhs(x)."""
+    """Point test shared by the models y^2 = rhs(x), with ``coefficients``
+    the coefficients of rhs, low degree first."""
+
+    def rhs(self, x: int) -> int:
+        p = self.field.p
+        acc = 0
+        for c in reversed(self.coefficients):
+            acc = (acc * x + c) % p
+        return acc
 
     def contains(self, pt: Point) -> bool:
         if is_infinity(pt):
@@ -189,9 +205,9 @@ class EllipticCurve(_PlaneModel):
     def genus(self) -> int:
         return 1
 
-    def rhs(self, x: int) -> int:
-        p = self.field.p
-        return (pow(x, 3, p) + self.a * x + self.b) % p
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        return (self.b, self.a, 0, 1)
 
     # group law -------------------------------------------------------------
 
@@ -264,12 +280,9 @@ class HyperellipticCurve(_PlaneModel):
     def genus(self) -> int:
         return (len(self.f) - 2) // 2
 
-    def rhs(self, x: int) -> int:
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.f):
-            acc = (acc * x + c) % p
-        return acc
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        return self.f
 
 
 Curve = Union[EllipticCurve, HyperellipticCurve]
@@ -283,22 +296,58 @@ def hyperelliptic_curve(p: int, coeffs: Iterable[int]) -> HyperellipticCurve:
     return HyperellipticCurve(PrimeField(p), tuple(coeffs))
 
 
+# x values per block of ``point_count``: a few int64 arrays of this length
+_COUNT_BLOCK = 1 << 16
+
+
 @functools.lru_cache(maxsize=None)
-def enumerate_points(curve: Curve) -> tuple[Point, ...]:
-    """All rational points: infinity first, then affine points in (x, y) order.
+def point_count(curve: Curve) -> int:
+    """Number of rational points, infinity included: p + 1 + sum_x chi(f(x)).
+
+    chi is the quadratic character, computed by Euler's criterion
+    f(x)^((p-1)/2) mod p on int64 blocks of ``_COUNT_BLOCK`` values of x,
+    so memory stays bounded for every p below 2^31 (a product of two
+    residues stays below 2^62).  No point is listed.
+    """
+    p = curve.field.p
+    count = p + 1
+    for start in range(0, p, _COUNT_BLOCK):
+        x = np.arange(start, min(start + _COUNT_BLOCK, p), dtype=np.int64)
+        f = np.zeros_like(x)
+        for c in reversed(curve.coefficients):
+            f = (f * x + c) % p
+        chi = np.ones_like(x)
+        e = (p - 1) // 2
+        while e:
+            if e & 1:
+                chi = chi * f % p
+            f = f * f % p
+            e >>= 1
+        count += np.count_nonzero(chi == 1) - np.count_nonzero(chi == p - 1)
+    return int(count)
+
+
+def iter_points(curve: Curve) -> Iterator[Point]:
+    """All rational points, lazily: infinity first, then affine points in
+    (x, y) order.
 
     ``sqrt_mod`` returns the smaller root, so ascending x already gives that order.
     """
     p = curve.field.p
-    pts: list[Point] = [INFINITY]
+    yield INFINITY
     for x in range(p):
         root = sqrt_mod(curve.rhs(x), p)
         if root is None:
             continue
-        pts.append(AffinePoint(x, root))
+        yield AffinePoint(x, root)
         if root:
-            pts.append(AffinePoint(x, p - root))
-    return tuple(pts)
+            yield AffinePoint(x, p - root)
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_points(curve: Curve) -> tuple[Point, ...]:
+    """``iter_points`` as a tuple, cached per curve."""
+    return tuple(iter_points(curve))
 
 
 def affine_points(curve: Curve) -> tuple[AffinePoint, ...]:
@@ -310,39 +359,48 @@ def affine_points(curve: Curve) -> tuple[AffinePoint, ...]:
 @dataclass(eq=False)
 class GroupTable:
     """An elliptic point group as ``group`` = Z_d1 x Z_d2 (d1 | d2, both
-    factors kept even when d1 = 1) plus the discrete log of every point.
+    factors kept even when d1 = 1), generated by g1 of order d1 and g2 of
+    order d2: the point u g1 + v g2 is the element (u, v).
 
-    ``dlog`` maps every rational point to its element of ``group``, so group
-    sums of points reduce to componentwise modular addition.
+    ``log`` finds a point's element by baby-step giant-step against baby
+    steps built on first use (``groups.ShanksLog``), so group sums of points
+    reduce to componentwise modular addition without a table of all points.
     """
 
     curve: EllipticCurve
     group: AbelianGroup
-    dlog: dict[Point, tuple[int, int]]
+    g1: Point
+    g2: Point
 
     def __post_init__(self):
-        if (self.curve.field.p - 1) % self.group.factors[0] != 0:
+        d1, d2 = self.group.factors
+        if (self.curve.field.p - 1) % d1 != 0:
             raise ValueError("d1 must divide p - 1")
-        if len(self.dlog) != self.group.order:
-            raise ValueError("dlog table is not a bijection")
+        if d1 * d2 != point_count(self.curve):
+            raise ValueError("d1 d2 must be the number of points")
+
+    @cached_property
+    def _shanks(self) -> ShanksLog:
+        d1, d2 = self.group.factors
+        return ShanksLog(self.curve._add_raw, INFINITY, self.g1, d1, self.g2, d2)
 
     def log(self, pt: Point) -> tuple[int, int]:
-        return self.dlog[pt]
+        self.curve._require(pt)
+        return self._shanks(pt)
 
 
 @functools.lru_cache(maxsize=None)
 def group_structure(curve: EllipticCurve) -> GroupTable:
-    """The point group as Z_d1 x Z_d2 (d1 | d2) with a complete discrete-log table.
+    """The point group as Z_d1 x Z_d2 (d1 | d2) on two generators.
 
-    ``groups.two_generator_table`` on the points in ``enumerate_points``
-    order with the chord-tangent law: g2 is the first point of maximal
-    order, g1 the first point of order d1 whose multiples miss <g2>, so
-    only the first points are ordered, and the table is one walk over the
-    N products u g1 + v g2.  A cyclic group takes the identity as g1.
+    ``groups.two_generator_table`` on the stream ``iter_points`` with the
+    chord-tangent law and ``point_count`` as the order: g2 is the first
+    point of maximal order, g1 the first point of order d1 whose multiples
+    miss <g2>, so only the first points are listed and ordered.  A cyclic
+    group takes the identity as g1.
     """
-    pts = enumerate_points(curve)
-    group, dlog = two_generator_table(len(pts), pts, curve._add_raw, INFINITY)
-    return GroupTable(curve, group, dlog)
+    group, g1, g2 = two_generator_table(point_count(curve), iter_points(curve), curve._add_raw, INFINITY)
+    return GroupTable(curve, group, g1, g2)
 
 
 # --- function space bases ----------------------------------------------------

@@ -8,10 +8,12 @@ the identity and P0, so the counts come from the closed form for the whole
 group corrected for those two points (``groups.cofinite_subset_sum_counts``),
 not from a dynamic program over the players; a scheme with fewer players
 raises ``UnsupportedExclusionError``.  The counts and the amplitude need only
-the point group, P0 and n, never the players' group elements, and an exact
-sweep builds no code matrices.  For higher genus there is no group
-table, so proportions are estimated by seeded Monte Carlo against a
-selectable qualification oracle, with Wilson 95% intervals.
+the point group, P0 and n, never the players' group elements; an exact sweep
+takes n from the point count and P0 from the first affine point
+(``standard_layout``), so it lists no points and builds no code matrices.
+For higher genus there is no group table, so proportions are estimated by
+seeded Monte Carlo against a selectable qualification oracle, with Wilson
+95% intervals.
 
 Bound evaluation mirrors the two asymptotic statements: the genus-1 bound
 1/N + C(M, t)/C(n, t), and the genus >= 2 expression combining the Weil
@@ -26,6 +28,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,11 +43,13 @@ from .curves import (
     SingularCurveError,
     affine_points,
     elliptic_curve,
-    enumerate_points,
+    enumerate_points,  # unused here, but bench/probes.py wraps agss.experiments.enumerate_points
     format_curve_spec,
     group_structure,
     hyperelliptic_curve,
+    iter_points,
     parse_curve_spec,
+    point_count,
 )
 from .groups import (
     Character,
@@ -63,7 +68,7 @@ from .scheme import (
     SchemeInstance,
     WrongGenusError,
     _decide,
-    check_layout,
+    check_degree,
     decide_block_size,
     enumerate_access,
     scheme_build,
@@ -332,7 +337,7 @@ def hasse_checks(curve: Curve) -> HasseReport:
     """Verify the rational-point window, plus the genus-1 Jacobian window."""
     q = curve.field.p
     g = curve.genus
-    count = len(enumerate_points(curve))
+    count = point_count(curve)
     # |count - (q + 1)| <= 2 g sqrt(q), checked exactly on integers
     diff = count - (q + 1)
     count_ok = diff * diff <= 4 * g * g * q
@@ -376,17 +381,27 @@ def _round_half_down(x: float) -> int:
     return math.ceil(x - 0.5)
 
 
-def standard_points(curve: Curve, delta: float) -> tuple[Point, tuple[Point, ...], int]:
-    """P0 = lexicographically smallest affine point, players = the rest,
-    m = round(delta * n) with ties rounded down.  The layout passes
-    ``scheme_build``'s checks (``check_layout``); no code matrix is built."""
-    pts = affine_points(curve)
-    if len(pts) < 4:
+def standard_layout(curve: Curve, delta: float) -> tuple[Point, int, int]:
+    """(P0, n, m) of the standard layout: P0 = lexicographically smallest
+    affine point, the n players = the rest, m = round(delta * n) with ties
+    rounded down.  Read off ``point_count`` and the first affine point of
+    ``iter_points``, so no point list is built; ``m`` passes
+    ``scheme_build``'s degree check (``check_degree``)."""
+    count = point_count(curve)
+    if count - 1 < 4:
         raise ValueError("curve has too few affine points for a scheme")
-    p0, players = pts[0], pts[1:]
-    m = _round_half_down(delta * len(players))
-    check_layout(curve, p0, players, m)
-    return p0, players, m
+    p0 = next(islice(iter_points(curve), 1, None))
+    n = count - 2
+    m = _round_half_down(delta * n)
+    check_degree(curve, n, m)
+    return p0, n, m
+
+
+def standard_points(curve: Curve, delta: float) -> tuple[Point, tuple[Point, ...], int]:
+    """``standard_layout`` with the players listed; the layout passes
+    ``scheme_build``'s checks, and no code matrix is built."""
+    p0, _, m = standard_layout(curve, delta)
+    return p0, affine_points(curve)[1:], m
 
 
 def standard_scheme(curve: Curve, delta: float) -> SchemeInstance:
@@ -449,17 +464,17 @@ def sweep_rows(config: ExperimentConfig) -> list[dict]:
         for off in config.offsets:
             if off >= 2 * g:
                 raise ValueError(f"offset {off} outside the gray zone for genus {g}")
-        # exact mode reads only the point group, so it builds no code matrices
+        # exact mode reads only the point count and the point group, so it
+        # lists no points and builds no code matrices
         if config.mode == "exact":
-            p0, players, m = standard_points(curve, config.delta)
+            p0, n, m = standard_layout(curve, config.delta)
         else:
             scheme = standard_scheme(curve, config.delta)
-            p0, players, m = scheme.p0, scheme.players, scheme.m
-        n = len(players)
-        c = len(enumerate_points(curve)) - n
+            p0, n, m = scheme.p0, scheme.n, scheme.m
+        c = point_count(curve) - n
 
         if g == 1:
-            # the players are the group minus O and P0 (standard_points)
+            # the players are the group minus O and P0 (standard_layout)
             table = group_structure(curve)
             n_group = table.group.order
             phi = cofinite_amplitude(table.group, [table.group.identity, table.log(p0)])

@@ -136,7 +136,11 @@ def _eliminate(m: np.ndarray, p: int, rows: int) -> None:
     ``m`` is B x W x H of dtype ``stack_dtype(p)`` with entries in [0, p),
     stored by columns: ``m[k, c]`` is column c of system k.  Its first
     ``rows`` entries are equations; the entries below them are bookkeeping
-    that every column operation carries along.  Per column, each system
+    that every column operation carries along.  The bookkeeping, if any,
+    must start as the identity or zero, i.e. column c is zero past entry
+    rows + c: a column operation then only adds earlier columns to later
+    ones, so column c stays zero there until the loop reaches it, and
+    updates touch entries up to rows + c alone.  Per column, each system
     pivots on the equation holding the column's largest residue and
     subtracts a multiple of the column from every later column so that the
     pivot equation reads zero there; a pivot equation is never picked again.
@@ -149,13 +153,16 @@ def _eliminate(m: np.ndarray, p: int, rows: int) -> None:
     records which: with the identity as bookkeeping, it holds the unique
     combination with a 1 at c and entries only at pivot columns left of c.
     Zero equations and zero columns are padding that changes no pivot.
+    Once every system has pivoted on all its equations (possible from
+    column rows - 1 on), the later columns are zero on the equations; they
+    are only reduced mod p, and the loop stops.
 
     Reduction mod p is delayed (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
     2008): column c is reduced when the loop reaches it and only later
     columns are updated after that, so the rest of the stack is reduced
     only after ``delay`` unreduced updates.
     """
-    stacks, width, _ = m.shape
+    stacks, width, height = m.shape
     if not rows:
         return
     # an update moves an entry by at most (p - 1)^2, so an entry in [0, p)
@@ -165,6 +172,8 @@ def _eliminate(m: np.ndarray, p: int, rows: int) -> None:
     at = np.arange(stacks)
     inverses = _inverse_table(p) if m.dtype == np.int32 else None
     pending = 0
+    pivots = None  # per system, pivots so far; counted from column rows - 1 on
+    c = -1
     for c in range(width - 1):
         col = m[:, c]
         col %= p
@@ -180,13 +189,22 @@ def _eliminate(m: np.ndarray, p: int, rows: int) -> None:
         pivot_row %= p
         pivot_row *= inv[:, None]
         pivot_row %= p
-        m[:, c + 1:] -= pivot_row[:, :, None] * col[:, None, :]
+        # column c is zero past entry rows + c (the bookkeeping precondition)
+        top = min(rows + c + 1, height)
+        m[:, c + 1:, :top] -= pivot_row[:, :, None] * col[:, None, :top]
         pending += 1
         if pending == delay:
             m[:, c + 1:] %= p
             pending = 0
-    # the last column has no later column to update
-    m[:, -1:] %= p
+        if c + 1 >= rows:
+            # columns 0..c are reduced, and the pivot columns among them are
+            # the ones nonzero on the equations
+            pivots = m[:, :c + 1, :rows].any(axis=2).sum(axis=1) if pivots is None else pivots + (lead > 0)
+            if pivots.min() == rows:
+                break
+    # the columns the loop did not reach (at least the last one, which has
+    # no later column to update) are reduced only
+    m[:, c + 1:] %= p
 
 
 def _reduce(a: np.ndarray, p: int, book: bool = True):

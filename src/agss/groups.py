@@ -195,11 +195,57 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
+def _multiple(add: Callable, identity: Hashable, k: int, x: Hashable) -> Hashable:
+    """k x for k >= 0, by double-and-add."""
+    acc = identity
+    while k:
+        if k & 1:
+            acc = add(acc, x)
+        x = add(x, x)
+        k >>= 1
+    return acc
+
+
+class ShanksLog:
+    """Discrete logs to the base (g1, g2) by baby-step giant-step (Shanks).
+
+    g1 has order d1, g2 has order d2, and (u, v) -> u g1 + v g2 must be
+    injective on Z_d1 x Z_d2.  The baby steps are the d1 s elements
+    u g1 + j g2, u < d1, j < s, with s = ceil(sqrt(d2 / d1)).  A log walks
+    the giant steps x - i s g2, i < ceil(d2 / s), until one is a baby step
+    u g1 + j g2, so x = u g1 + (j + i s) g2.  Building the steps and each
+    log take about sqrt(d1 d2) group operations.  Calling the instance
+    returns (u, v), or None when x is not in <g1> + <g2>.
+    """
+
+    def __init__(self, add: Callable, identity: Hashable, g1: Hashable, d1: int, g2: Hashable, d2: int):
+        self._add, self._d2 = add, d2
+        self._stride = s = math.isqrt(-(-d2 // d1) - 1) + 1
+        self._giants = -(-d2 // s)
+        self._steps: dict = {}
+        base = identity
+        for u in range(d1):
+            y = base
+            for j in range(s):
+                self._steps[y] = (u, j)
+                y = add(y, g2)
+            base = add(base, g1)
+        self._giant = _multiple(add, identity, d2 - s, g2)  # -s g2
+
+    def __call__(self, x: Hashable) -> tuple[int, int] | None:
+        for i in range(self._giants):
+            hit = self._steps.get(x)
+            if hit is not None:
+                return hit[0], (hit[1] + i * self._stride) % self._d2
+            x = self._add(x, self._giant)
+        return None
+
+
 def two_generator_table(
     order: int, elements: Iterable[Hashable], add: Callable, identity: Hashable
-) -> tuple[AbelianGroup, dict]:
-    """Present a group of known order as Z_d1 x Z_d2 (d1 | d2) with a
-    discrete-log table, reading the structure off the first elements.
+) -> tuple[AbelianGroup, Hashable, Hashable]:
+    """Present a group of known order as Z_d1 x Z_d2 (d1 | d2) by two
+    generators (g1, g2), reading the structure off the first elements.
 
     ``elements`` streams the whole group in a fixed order, identity first,
     and ``add`` is its law.  Walking the stream, each element whose order L
@@ -210,27 +256,21 @@ def two_generator_table(
     G = Z_{N/L} x Z_L and L is the exponent (Teske, Math. Comp. 67 (1998)
     1637-1663, for reading the structure off a few elements).  Hence g2 is
     the first element of maximal order and g1 the first element that
-    completes it, and the walk stops there.  Orders are computed lazily by
-    double-and-add: one multiple tells whether an element's order divides
-    the running maximum, and only an element whose order does not, or a g1
-    candidate, is ordered against the factorisation of N.  Returns the
-    group and the table {u g1 + v g2: (u, v)}; a stream that no two such
-    generators present raises ValueError.
+    completes it, and the walk stops there.  A nontrivial intersection of
+    the cyclic <g1> with <g2> holds the subgroup of some prime order l | d1,
+    so only the multiples (d1/l) g1 are tested, each by baby-step
+    giant-step membership in <g2> (``ShanksLog``).  Orders are computed
+    lazily by double-and-add: one multiple tells whether an element's order
+    divides the running maximum, and only an element whose order does not,
+    or a g1 candidate, is ordered against the factorisation of N.  Returns
+    (group, g1, g2); a stream that no two such generators present raises
+    ValueError.
     """
     primes = _factorize(order)
 
-    def multiple(k: int, x):
-        acc = identity
-        while k:
-            if k & 1:
-                acc = add(acc, x)
-            x = add(x, x)
-            k >>= 1
-        return acc
-
     def divides(k: int, x) -> bool:
         # whether the order of x divides k
-        return multiple(k, x) == identity
+        return _multiple(add, identity, k, x) == identity
 
     def element_order(x) -> int:
         o = order
@@ -251,32 +291,17 @@ def two_generator_table(
                 continue  # its order does not divide best, so it is not d1
             best, d1 = o, order // o
             g2 = x if o % d1 == 0 else None
-            span: dict = {}  # v g2 -> v, walked once a g1 candidate turns up
+            span = None  # membership in <g2>, built once a g1 candidate turns up
             candidates = seen
         if g2 is None:
             continue
         for g1 in candidates:
             if not divides(d1, g1) or element_order(g1) != d1:
                 continue
-            if not span:
-                y = identity
-                for v in range(best):
-                    span[y] = v
-                    y = add(y, g2)
-            # no u g1 with 0 < u < d1 in <g2> makes the product map injective
-            y = g1
-            for _ in range(d1 - 1):
-                if y in span:
-                    break
-                y = add(y, g1)
-            else:
-                dlog = {pt: (0, v) for pt, v in span.items()}
-                base = identity
-                for u in range(1, d1):
-                    base = add(base, g1)
-                    for pt, v in span.items():
-                        dlog[add(base, pt)] = (u, v)
-                return AbelianGroup((d1, best)), dlog
+            if span is None and d1 > 1:
+                span = ShanksLog(add, identity, identity, 1, g2, best)
+            if all(span(_multiple(add, identity, d1 // q, g1)) is None for q in _factorize(d1)):
+                return AbelianGroup((d1, best)), g1, g2
     raise ValueError(f"the stream is not a group of order {order} on at most two generators")
 
 

@@ -93,6 +93,14 @@ class WrongGenusError(Exception):
     """A genus-1-only operation was called on another curve."""
 
 
+class CodeBasisError(ArithmeticError):
+    """The share-code basis is not orthogonal to the generator matrix mod p.
+
+    ``omega_matrix`` is computed as the nullspace of ``gen_matrix``, so this
+    signals an implementation bug.
+    """
+
+
 @dataclass(frozen=True)
 class QualifiedVerdict:
     """Oracle decision; when qualified, ``witness`` (if present) holds the
@@ -219,13 +227,18 @@ def group_images(curve: Curve, points: Sequence[Point]) -> tuple[GroupTable, np.
     return table, np.array([table.log(pt) for pt in points], dtype=np.int64)
 
 
-def check_layout(curve: Curve, p0: Point, players: Sequence[Point], m: int) -> None:
-    """The layout checks of ``scheme_build``, which need no code matrix:
-    2g - 2 < m <= n - 1, and P0 and the players are distinct affine points."""
-    n = len(players)
+def check_degree(curve: Curve, n: int, m: int) -> None:
+    """The degree check of ``scheme_build``: 2g - 2 < m <= n - 1."""
     g = curve.genus
     if not 2 * g - 2 < m <= n - 1:
         raise DegreeOutOfRangeError(f"need 2g-2 < m <= n-1, got m={m}, g={g}, n={n}")
+
+
+def check_layout(curve: Curve, p0: Point, players: Sequence[Point], m: int) -> None:
+    """The layout checks of ``scheme_build``, which need no code matrix:
+    ``check_degree``, and P0 and the players are distinct affine points."""
+    n = len(players)
+    check_degree(curve, n, m)
     pts = (p0, *players)
     for pt in pts:
         if is_infinity(pt):
@@ -234,8 +247,24 @@ def check_layout(curve: Curve, p0: Point, players: Sequence[Point], m: int) -> N
         raise DuplicatePointError("scheme points must be pairwise distinct")
 
 
+def _check_orthogonal(gen: np.ndarray, omega: np.ndarray, p: int) -> None:
+    """Raise ``CodeBasisError`` unless gen . omega^T = 0 (mod p).
+
+    The product is taken in int64, exact while every entry's sum of n + 1
+    products stays below 2^63, and on Python ints above that.  Not in
+    float64: numpy sends that to BLAS, whose buffers stay resident.
+    """
+    if gen.shape[1] * (p - 1) ** 2 < 2**63:
+        product = gen @ omega.T % p
+    else:
+        product = gen.astype(object) @ omega.T.astype(object) % p
+    if product.any():
+        raise CodeBasisError("the share-code basis is not orthogonal to the generator matrix mod p")
+
+
 def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> SchemeInstance:
-    """Validate the configuration and materialize both code bases."""
+    """Validate the configuration and materialize both code bases, checking
+    that they are orthogonal mod p (``CodeBasisError`` otherwise)."""
     players = tuple(players)
     check_layout(curve, p0, players, m)
     pts = (p0, *players)
@@ -251,6 +280,7 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
         raise RuntimeError("evaluation matrix lost rank; invalid configuration")
     if not omega[:, 0].any():
         raise SecretPositionDegenerateError("every share-code word vanishes at position 0")
+    _check_orthogonal(gen, omega, p)
 
     gen.flags.writeable = False
     omega.flags.writeable = False

@@ -415,6 +415,21 @@ def test_experiment_exact_mode_builds_no_code_matrices(tmp_path, capsys, monkeyp
     assert out.read_bytes() == (ROOT / "bench/reference/theorem3.csv").read_bytes()
 
 
+def test_experiment_exact_mode_lists_no_points(tmp_path, capsys, monkeypatch):
+    from agss.curves import group_structure, point_count
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("exact mode listed the points")
+
+    monkeypatch.setattr("agss.curves.enumerate_points", refuse)
+    group_structure.cache_clear()
+    point_count.cache_clear()
+    out = tmp_path / "theorem3.csv"
+    code, _, _ = run(capsys, "experiment", "--config", str(ROOT / "configs/theorem3.ini"), "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == (ROOT / "bench/reference/theorem3.csv").read_bytes()
+
+
 def test_experiment_unknown_config_key(tmp_path, capsys):
     cfg = _write_config(tmp_path / "exp.ini", "[experiment]\nq = 13\nseed = 1\nwhat = 2\n")
     code, _, _ = run(capsys, "experiment", "--config", cfg, "--out", str(tmp_path / "x.csv"))

@@ -21,9 +21,11 @@ from agss.curves import (
     is_infinity,
     legendre_symbol,
     parse_curve_spec,
+    point_count,
     rr_basis,
     sqrt_mod,
 )
+from agss.experiments import find_elliptic_curve, find_hyperelliptic_curve
 
 
 def test_curve_validation():
@@ -152,6 +154,8 @@ def test_group_structure_cyclic():
     assert table.group.factors == (1, 9)
     assert table.group.order == 9
     assert table.log(INFINITY) == (0, 0)
+    with pytest.raises(PointNotOnCurveError):
+        table.log(AffinePoint(1, 1))
 
 
 def test_group_structure_homomorphism_and_bijection():
@@ -249,10 +253,27 @@ def test_group_structure_matches_ordering_every_point():
     for e in curves:
         factors, dlog = reference_group_structure(e)
         table = group_structure(e)
+        assert point_count(e) == len(enumerate_points(e)) == len(dlog), e
         assert table.group.factors == factors, e
-        assert table.dlog == dlog, e
+        for pt, element in dlog.items():  # every point of the curve
+            assert table.log(pt) == element, (e, pt)
         noncyclic += factors[0] > 1
     assert noncyclic == 230
+
+
+@pytest.mark.parametrize("curve", [
+    *(find_hyperelliptic_curve(q) for q in (11, 13, 19, 101, 211)),
+    hyperelliptic_curve(11, [1, 0, 0, 0, 0, 1]),
+    hyperelliptic_curve(19, [1, 0, 0, 0, 0, 1]),
+    find_elliptic_curve(10007),
+], ids=format_curve_spec)
+def test_point_count_matches_the_listed_points(curve, monkeypatch):
+    import agss.curves
+
+    assert point_count(curve) == len(enumerate_points(curve))
+    # in blocks of 7 values of x, the last one partial
+    monkeypatch.setattr(agss.curves, "_COUNT_BLOCK", 7)
+    assert point_count.__wrapped__(curve) == len(enumerate_points(curve))
 
 
 def test_group_structure_at_scale():

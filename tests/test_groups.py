@@ -18,6 +18,7 @@ from agss.groups import (
     ClosedFormError,
     InstanceTooLargeError,
     InvalidCycleTypeError,
+    ShanksLog,
     TrivialGroupError,
     UnsupportedExclusionError,
     amplitude,
@@ -429,11 +430,22 @@ def test_two_generator_table_presents_shuffled_products(data):
     factors = data.draw(st.sampled_from([(1,), (5,), (2, 2), (2, 4), (3, 9), (2, 12), (4, 8), (6, 6), (36,)]))
     g = AbelianGroup(factors)
     rest = data.draw(st.permutations([a for a in g.elements() if a != g.identity]))
-    group, dlog = two_generator_table(g.order, [g.identity, *rest], g.add, g.identity)
+    group, g1, g2 = two_generator_table(g.order, [g.identity, *rest], g.add, g.identity)
     assert group.factors == (factors if len(factors) == 2 else (1, *factors))
-    assert sorted(dlog.values()) == sorted(group.elements())  # a bijection onto the group
+    d1, d2 = group.factors
+    log = ShanksLog(g.add, g.identity, g1, d1, g2, d2)
+
+    def times(k, a):
+        return tuple(k * x % d for x, d in zip(a, g.factors))
+
+    elements = {}
+    for a in g.elements():  # every element is u g1 + v g2 at its own (u, v)
+        u, v = log(a)
+        assert g.add(times(u, g1), times(v, g2)) == a
+        elements[u, v] = a
+    assert sorted(elements) == sorted(group.elements())  # a bijection onto the group
     for a, b in zip(rest, rest[1:] + rest[:1]):
-        assert dlog[g.add(a, b)] == group.add(dlog[a], dlog[b])
+        assert log(g.add(a, b)) == group.add(log(a), log(b))
 
 
 def test_two_generator_table_rejects_three_generators():

@@ -21,11 +21,13 @@ from agss.groups import InstanceTooLargeError, subset_sum_count
 from agss.curves import group_structure
 from agss.experiments import find_elliptic_curve, find_hyperelliptic_curve, standard_scheme
 from agss.scheme import (
+    CodeBasisError,
     DegreeOutOfRangeError,
     DuplicatePointError,
     NotQualifiedError,
     PrivacyVerdict,
     WrongGenusError,
+    _check_orthogonal,
     _kernel_qualified,
     decide_block_size,
     enumerate_access,
@@ -266,6 +268,32 @@ def test_scheme_build_code_bases_are_pinned():
         "theorem4 q=211": "4faee05bb7756bee7d8f0c4cfe7cfadeb38f796c60bcab6fedc90332d6745a3d",
         "theorem3 q=401": "32a5e3e4bffc1257107cd5d17ecfa77d6c2fc03fff2ca11a1bfdcca5c8e5f9f5",
     }
+
+
+def test_scheme_build_rejects_a_share_code_basis_off_the_nullspace(monkeypatch):
+    import agss.scheme
+
+    kernel_basis = agss.scheme._kernel_basis
+
+    def corrupted(a, p):
+        omega, pivots = kernel_basis(a, p)
+        omega[0, -1] = (omega[0, -1] + 1) % p
+        return omega, pivots
+
+    curve = elliptic_curve(13, 1, 1)
+    pts = affine_points(curve)
+    monkeypatch.setattr(agss.scheme, "_kernel_basis", corrupted)
+    with pytest.raises(CodeBasisError):
+        scheme_build(curve, pts[0], pts[1:], 5)
+
+
+def test_orthogonality_check_is_exact_past_int64():
+    # (p - 1)(3 (p - 1) + 3) = 0 mod p, but 3 (p - 1)^2 overflows int64
+    p = 2**31 - 1
+    gen = np.full((2, 4), p - 1, dtype=np.int64)
+    _check_orthogonal(gen, np.array([[p - 1, p - 1, p - 1, 3]], dtype=np.int64), p)
+    with pytest.raises(CodeBasisError):
+        _check_orthogonal(gen, np.array([[p - 1, p - 1, p - 1, 4]], dtype=np.int64), p)
 
 
 def test_share_rejects_a_secret_from_another_field():
