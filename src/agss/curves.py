@@ -6,8 +6,8 @@ Two families:
   additionally carry the chord-tangent group law; ``group_structure``
   presents their point group as an ``AbelianGroup`` on two generators read
   off the first points in enumeration order
-  (``groups.two_generator_table``), and finds a point's element by
-  baby-step giant-step;
+  (``groups.two_generator_table``), and finds points' elements by one
+  baby-step giant-step sized to the number asked (``GroupTable.logs``);
 * odd-degree hyperelliptic curves ``y^2 = f(x)`` with ``deg f = 2g + 1``
   (genus g >= 2), used purely through linear algebra downstream.
 
@@ -25,8 +25,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +47,10 @@ class PointNotOnCurveError(Exception):
 
 class EvalAtInfinityError(Exception):
     """Function evaluation requested at the point at infinity."""
+
+
+class WrongGenusError(Exception):
+    """A genus-1-only operation was called on another curve."""
 
 
 class PointAtInfinity:
@@ -184,6 +187,10 @@ class _PlaneModel:
         p = self.field.p
         return 0 <= pt.x < p and 0 <= pt.y < p and pt.y * pt.y % p == self.rhs(pt.x)
 
+    def _require(self, pt: Point):
+        if not self.contains(pt):
+            raise PointNotOnCurveError(f"{pt!r} is not on {format_curve_spec(self)}")
+
 
 @dataclass(frozen=True)
 class EllipticCurve(_PlaneModel):
@@ -233,10 +240,6 @@ class EllipticCurve(_PlaneModel):
             pt = self._add_raw(pt, pt)
             k >>= 1
         return acc
-
-    def _require(self, pt: Point):
-        if not self.contains(pt):
-            raise PointNotOnCurveError(f"{pt!r} is not on {format_curve_spec(self)}")
 
     def _add_raw(self, p1: Point, p2: Point) -> Point:
         if is_infinity(p1):
@@ -362,9 +365,9 @@ class GroupTable:
     factors kept even when d1 = 1), generated by g1 of order d1 and g2 of
     order d2: the point u g1 + v g2 is the element (u, v).
 
-    ``log`` finds a point's element by baby-step giant-step against baby
-    steps built on first use (``groups.ShanksLog``), so group sums of points
-    reduce to componentwise modular addition without a table of all points.
+    ``logs`` finds points' elements by one baby-step giant-step, so group
+    sums of points reduce to componentwise modular addition without a table
+    of all points.
     """
 
     curve: EllipticCurve
@@ -379,14 +382,19 @@ class GroupTable:
         if d1 * d2 != point_count(self.curve):
             raise ValueError("d1 d2 must be the number of points")
 
-    @cached_property
-    def _shanks(self) -> ShanksLog:
+    def logs(self, points: Sequence[Point]) -> np.ndarray:
+        """Row i is point i's element (u, v), as a len(points) x 2 int64
+        array, from one ``groups.ShanksLog`` sized to the k points: about
+        2 sqrt(k N) group operations, one walk over the group for k near N.
+        An off-curve point raises ``PointNotOnCurveError``."""
+        for pt in points:
+            self.curve._require(pt)
         d1, d2 = self.group.factors
-        return ShanksLog(self.curve._add_raw, INFINITY, self.g1, d1, self.g2, d2)
+        shanks = ShanksLog(self.curve._add_raw, INFINITY, self.g1, d1, self.g2, d2, max(len(points), 1))
+        return np.array([shanks(pt) for pt in points], dtype=np.int64).reshape(-1, 2)
 
     def log(self, pt: Point) -> tuple[int, int]:
-        self.curve._require(pt)
-        return self._shanks(pt)
+        return tuple(self.logs([pt])[0].tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -397,8 +405,11 @@ def group_structure(curve: EllipticCurve) -> GroupTable:
     chord-tangent law and ``point_count`` as the order: g2 is the first
     point of maximal order, g1 the first point of order d1 whose multiples
     miss <g2>, so only the first points are listed and ordered.  A cyclic
-    group takes the identity as g1.
+    group takes the identity as g1.  A curve of genus >= 2 raises
+    ``WrongGenusError``: its points form no group.
     """
+    if not isinstance(curve, EllipticCurve):
+        raise WrongGenusError(f"the point group exists only for an elliptic curve, not {format_curve_spec(curve)}")
     group, g1, g2 = two_generator_table(point_count(curve), iter_points(curve), curve._add_raw, INFINITY)
     return GroupTable(curve, group, g1, g2)
 
@@ -450,8 +461,7 @@ def eval_basis(curve: Curve, basis: MonomialBasis, pt: Point) -> tuple[int, ...]
     """Evaluate every basis monomial at an affine point; values reduced mod p."""
     if is_infinity(pt):
         raise EvalAtInfinityError("evaluation points must be affine")
-    if not curve.contains(pt):
-        raise PointNotOnCurveError(f"{pt!r} is not on the curve")
+    curve._require(pt)
     p = curve.field.p
     x, y = pt.x, pt.y
     max_i = max((i for i, _ in basis.exponents), default=0)

@@ -52,7 +52,9 @@ from .curves import (
     point_count,
 )
 from .groups import (
+    AbelianGroup,
     Character,
+    GroupElement,
     TrivialCharacterError,
     UnsupportedExclusionError,
     amplitude,  # unused here, but bench/probes.py wraps agss.experiments.amplitude
@@ -66,11 +68,11 @@ from .groups import (
 from .scheme import (
     ORACLE_NAMES,
     SchemeInstance,
-    WrongGenusError,
     _decide,
     check_degree,
     decide_block_size,
     enumerate_access,
+    group_law_rule,
     scheme_build,
 )
 
@@ -151,32 +153,27 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
 
 # --- exact proportions (genus 1) -------------------------------------------
 
-def _exact_estimates(curve: Curve, p0: Point, n: int, m: int, ts: Sequence[int]) -> dict[int, ProportionEstimate]:
-    """Exact proportions from the point group, P0 and n alone: the players
-    are the n points of E(F_q) other than O and P0, so no player's group
-    element and no code matrix is read."""
-    if not isinstance(curve, EllipticCurve):
-        raise WrongGenusError("the point group exists only for an elliptic scheme")
-    for t in ts:
-        if t not in (m - 1, m):
+def _exact_estimates(group: AbelianGroup, p0: GroupElement, n: int, m: int, ts: Sequence[int]) -> dict:
+    """Exact proportions from the point group, P0's element and n alone: the
+    players are the n points of E(F_q) other than O and P0, so no player's
+    group element and no code matrix is read.  ``scheme.group_law_rule``
+    leaves a count to make only at t in {m - 1, m}."""
+    ts = sorted(set(ts))
+    rules = [group_law_rule(group, p0, m, t) for t in ts]
+    for t, rule in zip(ts, rules):
+        if isinstance(rule, bool):
             raise UnsupportedOffsetError(f"exact proportion defined for t in {{m-1, m}}, got t={t}, m={m}")
-    table = group_structure(curve)
-    group = table.group
     # the players are distinct affine points other than P0, so n = #E - 2 means all of them
     if n != group.order - 2:
         raise UnsupportedExclusionError(
             f"the players must be every point but O and P0: n = {n}, #E - 2 = {group.order - 2}"
         )
-    p = table.log(p0)
-    # t = m counts complements summing to the identity; at t = m - 1 the
-    # unqualified complements are exactly those summing to -P0
-    targets = {m: group.identity, m - 1: group.neg(p)}
-    ts = sorted(set(ts))
-    counts = cofinite_subset_sum_counts(group, [group.identity, p], [(t, targets[t]) for t in ts])
+    cells = [(t, target) for t, (target, _) in zip(ts, rules)]
+    counts = cofinite_subset_sum_counts(group, [group.identity, p0], cells)
     out = {}
-    for t, count in zip(ts, counts):
+    for t, (_, hit), count in zip(ts, rules, counts):
         total = math.comb(n, t)
-        qualified = count if t == m else total - count
+        qualified = count if hit else total - count
         p_hat = float(Fraction(qualified, total))
         out[t] = ProportionEstimate(qualified, total, p_hat, p_hat, p_hat, True)
     return out
@@ -189,7 +186,8 @@ def exact_proportion_elliptic(scheme: SchemeInstance, t: int) -> ProportionEstim
     ``standard_scheme``; any other player set raises
     ``groups.UnsupportedExclusionError``.
     """
-    return _exact_estimates(scheme.curve, scheme.p0, scheme.n, scheme.m, [t])[t]
+    table = group_structure(scheme.curve)
+    return _exact_estimates(table.group, table.log(scheme.p0), scheme.n, scheme.m, [t])[t]
 
 
 # --- Monte Carlo -------------------------------------------------------------
@@ -350,9 +348,7 @@ def curve_char_sum(curve: EllipticCurve, table, chi: Character, points) -> compl
     """Character sum over curve points through their group coordinates."""
     if chi.is_trivial:
         raise TrivialCharacterError("the trivial character is excluded")
-    if chi.group != table.group:
-        raise ValueError("character does not match the curve's point group")
-    return char_sum(table.group, chi, [table.log(pt) for pt in points])
+    return char_sum(table.group, chi, table.logs(points))
 
 
 # --- deterministic experiment setup ---------------------------------------------
@@ -473,16 +469,17 @@ def sweep_rows(config: ExperimentConfig) -> list[dict]:
             p0, n, m = scheme.p0, scheme.n, scheme.m
         c = point_count(curve) - n
 
-        if g == 1:
-            # the players are the group minus O and P0 (standard_layout)
+        if g == 1 or config.mode == "exact":
+            # the players are the group minus O and P0 (standard_layout); a
+            # curve of genus >= 2 has no point group (WrongGenusError)
             table = group_structure(curve)
-            n_group = table.group.order
-            phi = cofinite_amplitude(table.group, [table.group.identity, table.log(p0)])
+            group, p0_element = table.group, table.log(p0)
+            phi = cofinite_amplitude(group, [group.identity, p0_element])
 
         estimates: dict[int, ProportionEstimate] = {}
         ts = [m - off for off in config.offsets]
         if config.mode == "exact":
-            estimates = _exact_estimates(curve, p0, n, m, ts)
+            estimates = _exact_estimates(group, p0_element, n, m, ts)
         else:
             for t in ts:
                 if config.mode == "exhaustive":
@@ -499,7 +496,7 @@ def sweep_rows(config: ExperimentConfig) -> list[dict]:
             t = m - off
             est = estimates[t]
             if g == 1:
-                bound = bound_theorem3(n, t, n_group, phi).total
+                bound = bound_theorem3(n, t, group.order, phi).total
             elif off < g:
                 bound = bound_theorem4(q, g, n, t, m, c).total
             else:

@@ -210,17 +210,17 @@ class ShanksLog:
     """Discrete logs to the base (g1, g2) by baby-step giant-step (Shanks).
 
     g1 has order d1, g2 has order d2, and (u, v) -> u g1 + v g2 must be
-    injective on Z_d1 x Z_d2.  The baby steps are the d1 s elements
-    u g1 + j g2, u < d1, j < s, with s = ceil(sqrt(d2 / d1)).  A log walks
-    the giant steps x - i s g2, i < ceil(d2 / s), until one is a baby step
-    u g1 + j g2, so x = u g1 + (j + i s) g2.  Building the steps and each
-    log take about sqrt(d1 d2) group operations.  Calling the instance
-    returns (u, v), or None when x is not in <g1> + <g2>.
+    injective on Z_d1 x Z_d2.  For k = ``count`` logs the baby steps are
+    u g1 + j g2, u < d1, j < s = min(d2, ceil(sqrt(k ceil(d2 / d1)))), built
+    in about sqrt(k N) group operations; a log walks the giant steps
+    x - i s g2 until one is a baby step u g1 + j g2, so x = u g1 + (j + i s) g2,
+    in about sqrt(N / k).  Calling the instance returns (u, v), or None when
+    x is not in <g1> + <g2>.
     """
 
-    def __init__(self, add: Callable, identity: Hashable, g1: Hashable, d1: int, g2: Hashable, d2: int):
+    def __init__(self, add: Callable, identity: Hashable, g1: Hashable, d1: int, g2: Hashable, d2: int, count: int = 1):
         self._add, self._d2 = add, d2
-        self._stride = s = math.isqrt(-(-d2 // d1) - 1) + 1
+        self._stride = s = min(d2, math.isqrt(count * -(-d2 // d1) - 1) + 1)
         self._giants = -(-d2 // s)
         self._steps: dict = {}
         base = identity

@@ -37,10 +37,9 @@ import numpy as np
 
 from .curves import (
     Curve,
-    EllipticCurve,
-    GroupTable,
     MonomialBasis,
     Point,
+    WrongGenusError,  # raised by group_structure, imported from here by cli.py
     eval_basis,
     group_structure,
     is_infinity,
@@ -61,7 +60,7 @@ from .field import (
     solve_array,
     stack_dtype,
 )
-from .groups import InstanceTooLargeError
+from .groups import AbelianGroup, GroupElement, InstanceTooLargeError
 
 ENUMERATION_LIMIT = 10**7
 
@@ -87,10 +86,6 @@ class SecretPositionDegenerateError(Exception):
 
 class NotQualifiedError(Exception):
     """Reconstruction attempted from an unqualified subset."""
-
-
-class WrongGenusError(Exception):
-    """A genus-1-only operation was called on another curve."""
 
 
 class CodeBasisError(ArithmeticError):
@@ -213,18 +208,10 @@ class SchemeInstance:
         return table, pivots, free
 
     @cached_property
-    def player_images(self) -> tuple[GroupTable, np.ndarray]:
-        """``group_images(curve, players)``, computed once per scheme."""
-        return group_images(self.curve, self.players)
-
-
-def group_images(curve: Curve, points: Sequence[Point]) -> tuple[GroupTable, np.ndarray]:
-    """The curve's group table and, as row i of a len(points) x 2 int64
-    array, point i's element of its point group (elliptic curves only)."""
-    if not isinstance(curve, EllipticCurve):
-        raise WrongGenusError("the point group exists only for an elliptic scheme")
-    table = group_structure(curve)
-    return table, np.array([table.log(pt) for pt in points], dtype=np.int64)
+    def images(self) -> np.ndarray:
+        """Row j is point j's element of the elliptic point group, P0 first as
+        in ``gen_matrix``'s columns, from one ``GroupTable.logs`` call."""
+        return group_structure(self.curve).logs((self.p0, *self.players))
 
 
 def check_degree(curve: Curve, n: int, m: int) -> None:
@@ -429,31 +416,35 @@ def _kernel_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
     return stack[:, -1].any(axis=1)
 
 
-def _kernel_qualified(scheme: SchemeInstance, a_idx) -> bool:
-    return bool(_kernel_block(scheme, np.asarray(a_idx, dtype=np.int64)[None])[0])
-
-
 def _dual_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
     """Qualified iff A's system in ``_p0_systems`` is solvable, for each row
     A of a nonempty B x t block, decided by one batched elimination."""
     return solvable_stack(*_p0_systems(scheme, a_block), scheme.field.p)
 
 
-def _clx_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
-    """The group-law criterion, for each row of a B x t block."""
-    table, images = scheme.player_images
-    group = table.group
-    count, t = a_block.shape
-    m = scheme.m
-    if t > m:
-        return np.zeros(count, dtype=bool)
-    if t <= m - 2:
-        return np.ones(count, dtype=bool)
-    totals = images[a_block].sum(axis=1) % np.asarray(group.factors)
+def group_law_rule(group: AbelianGroup, p0: GroupElement, m: int, t: int):
+    """The genus-1 verdict on a size-t complement A of a degree-m elliptic
+    scheme whose P0 is the element ``p0``: a bool when t alone decides, else
+    (target, hit), qualified iff (the sum of A == target) == hit.  t <= m - 2
+    is qualified, t > m is not; t = m iff A sums to O, and t = m - 1 iff the
+    forced extra zero B = -(sum of A) avoids P0.  The clx oracle and the
+    exact counts both apply it."""
     if t == m:
-        return (totals == np.asarray(group.identity)).all(axis=1)
-    # t == m - 1: qualified iff the forced extra zero B = -(sum of A) avoids P0
-    return (totals != np.asarray(group.neg(table.log(scheme.p0)))).any(axis=1)
+        return group.identity, True
+    if t == m - 1:
+        return group.neg(p0), False
+    return t < m
+
+
+def _clx_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
+    """``group_law_rule`` on the group sum of each row of a B x t block."""
+    images, group = scheme.images, group_structure(scheme.curve).group
+    rule = group_law_rule(group, tuple(images[0].tolist()), scheme.m, a_block.shape[1])
+    if isinstance(rule, bool):
+        return np.full(len(a_block), rule)
+    target, hit = rule
+    totals = images[a_block + 1].sum(axis=1) % np.asarray(group.factors)
+    return (totals == np.asarray(target)).all(axis=1) == hit
 
 
 _ORACLES = {"kernel": _kernel_block, "dual": _dual_block, "clx": _clx_block}
@@ -502,7 +493,7 @@ def is_qualified_kernel(scheme: SchemeInstance, subset: Sequence[int]) -> Qualif
     """Function-space oracle; when qualified, the witness is the function
     that vanishes on the complement and equals 1 at P0."""
     a_idx = _complement(scheme, _check_subset(scheme, subset))
-    if not _kernel_qualified(scheme, a_idx):
+    if not _decide_one(scheme, a_idx, "kernel"):
         return QualifiedVerdict(False)
     return QualifiedVerdict(True, _p0_witness(scheme, a_idx))
 

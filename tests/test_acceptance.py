@@ -293,8 +293,8 @@ def test_criterion_5_exact_elliptic_proportions(sweep3_rows):
     for q in (101, 211, 401):
         curve = find_elliptic_curve(q)
         sch = standard_scheme(curve, 0.5)
-        table, images = sch.player_images
-        phi = amplitude(table.group, images)
+        table = group_structure(curve)
+        phi = amplitude(table.group, sch.images[1:])
         n_group = table.group.order
         n, m = sch.n, sch.m
         row_m, row_m1 = by_q[q][0], by_q[q][1]
@@ -434,11 +434,11 @@ def test_criterion_7_geometry_bounds():
     for curve in elliptic:
         table = group_structure(curve)
         group = table.group
-        full = [table.log(pt) for pt in enumerate_points(curve)]
+        full = table.logs(enumerate_points(curve))
         if amplitude(group, full) > 1e-6:
             failures.append(f"nonzero full-curve character sum on {curve!r}")
         pts = affine_points(curve)
-        players = [table.log(pt) for pt in pts[1:]]
+        players = table.logs(pts[1:])
         if amplitude(group, players) > 2 + 1e-6:
             failures.append(f"player-set character sum above the complement bound on {curve!r}")
         chi = next(c for c in group.characters() if not c.is_trivial)

@@ -241,6 +241,12 @@ FAILURES = [
     pytest.param(["experiment", "--curve", "ec:p=13,a=1,b=1", "--seed", "1"], 2, id="experiment-without-out"),
     pytest.param(["experiment", "--curve", "ec:p=13,a=1,b=1", "--mode", "montecarlo", "--seed", "-1",
                   "--out", "{tmp}/x.csv"], 2, id="experiment-negative-seed"),
+    pytest.param(["experiment", "--curve", "hyp:p=19,f=1,0,0,0,0,1", "--mode", "exact", "--seed", "1",
+                  "--out", "{tmp}/x.csv"], 2, id="experiment-exact-genus-2"),
+    pytest.param(["experiment", "--curve", "hyp:p=19,f=1,0,0,0,0,1", "--mode", "montecarlo", "--oracle", "clx",
+                  "--samples", "10", "--seed", "1", "--out", "{tmp}/x.csv"], 2, id="experiment-clx-montecarlo-genus-2"),
+    pytest.param(["experiment", "--curve", "hyp:p=19,f=1,0,0,0,0,1", "--mode", "exhaustive", "--oracle", "clx",
+                  "--seed", "1", "--out", "{tmp}/x.csv"], 2, id="experiment-clx-exhaustive-genus-2"),
 ]
 
 

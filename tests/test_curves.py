@@ -11,6 +11,7 @@ from agss.curves import (
     EvalAtInfinityError,
     PointNotOnCurveError,
     SingularCurveError,
+    WrongGenusError,
     affine_points,
     elliptic_curve,
     enumerate_points,
@@ -189,6 +190,29 @@ def test_group_structure_noncyclic():
             ua, va = table.log(a)
             ub, vb = table.log(b)
             assert table.log(e.add(a, b)) == ((ua + ub) % 2, (va + vb) % 4)
+
+
+@pytest.mark.parametrize("curve", [elliptic_curve(13, 1, 1), find_elliptic_curve(401), find_elliptic_curve(2003)])
+def test_logs_match_one_log_per_point(curve):
+    # one batch sized to every point against one sqrt(N)-stride log each
+    table = group_structure(curve)
+    pts = enumerate_points(curve)
+    assert pts[0] == INFINITY
+    batch = table.logs(pts)
+    assert batch.dtype == np.int64 and batch.shape == (len(pts), 2)
+    assert batch[0].tolist() == [0, 0]
+    assert [tuple(row) for row in batch.tolist()] == [table.log(pt) for pt in pts]
+    assert table.logs([]).shape == (0, 2)
+    if curve.field.p == 2003:
+        assert table.group.factors == (2, 1004)  # d1 > 1
+    off = next(AffinePoint(x, 0) for x in range(curve.field.p) if curve.rhs(x))
+    with pytest.raises(PointNotOnCurveError):
+        table.logs([pts[1], off])
+
+
+def test_group_structure_needs_genus_one():
+    with pytest.raises(WrongGenusError):
+        group_structure(hyperelliptic_curve(19, [1, 0, 0, 0, 0, 1]))
 
 
 def test_group_structure_prime_order_is_cyclic():

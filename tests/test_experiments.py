@@ -7,7 +7,14 @@ from agss import experiments
 from agss import field as field_module
 from agss import scheme as scheme_module
 
-from agss.curves import affine_points, elliptic_curve, enumerate_points, group_structure, hyperelliptic_curve
+from agss.curves import (
+    GroupTable,
+    affine_points,
+    elliptic_curve,
+    enumerate_points,
+    group_structure,
+    hyperelliptic_curve,
+)
 from agss.groups import (
     BudgetExceededError,
     TrivialCharacterError,
@@ -23,10 +30,9 @@ from agss.scheme import (
     DegreeOutOfRangeError,
     WrongGenusError,
     _decide,
-    _kernel_qualified,
+    _decide_one,
     decide_block_size,
     enumerate_access,
-    group_images,
     scheme_build,
 )
 from agss.experiments import (
@@ -96,19 +102,21 @@ def test_exact_proportion_guards():
 
 
 def test_exact_sweep_reads_no_players_group_elements(monkeypatch):
-    calls = []
+    # every route from curve points to group elements goes through GroupTable.logs
+    logged = []
+    logs = GroupTable.logs
 
-    def record(curve, points):
-        calls.append(curve.field.p)
-        return group_images(curve, points)
+    def record(self, points):
+        logged.extend(points)
+        return logs(self, points)
 
-    monkeypatch.setattr(scheme_module, "group_images", record)
-    monkeypatch.setattr(experiments, "group_images", record, raising=False)
+    monkeypatch.setattr(GroupTable, "logs", record)
     rows = sweep_rows(ExperimentConfig(seed=1, q_values=(13, 101), offsets=(0, 1), mode="exact"))
     sch = small_elliptic_scheme()
     exact_proportion_elliptic(sch, sch.m)
     # the amplitude and the exact counts need only the group, P0 and n
-    assert calls == []
+    p0s = {standard_points(find_elliptic_curve(q), 0.5)[0] for q in (13, 101)} | {sch.p0}
+    assert logged and set(logged) <= p0s
     assert len(rows) == 4
 
 
@@ -174,7 +182,7 @@ def test_mc_blocks_draw_the_one_by_one_stream(monkeypatch):
         size = decide_block_size(sch, t, "kernel")
         assert widths == [size] * (count // size) + [count % size]
         assert seen == _mc_complements_one_by_one(sch.n, t, (9, t), count)
-        assert hits == sum(_kernel_qualified(sch, a) for a in seen)
+        assert hits == sum(_decide_one(sch, a, "kernel") for a in seen)
 
 
 def test_decision_stacks_stay_within_the_byte_budget(monkeypatch):
@@ -253,8 +261,8 @@ def test_bound_theorem3_examples():
 
 def test_bound_theorem3_dominates_exact_proportion():
     sch = small_elliptic_scheme()
-    table, images = sch.player_images
-    phi = amplitude(table.group, images)
+    table = group_structure(sch.curve)
+    phi = amplitude(table.group, sch.images[1:])
     est = exact_proportion_elliptic(sch, sch.m)
     rep = bound_theorem3(sch.n, sch.m, table.group.order, phi)
     assert est.p_hat <= rep.total
@@ -275,7 +283,7 @@ def test_exact_counts_past_the_dp_budget_at_q2003():
     group = table.group
     assert group.factors == (2, 1004)
     p0, players, m = standard_points(curve, 0.5)
-    images = [table.log(pt) for pt in players]
+    images = table.logs(players)
     n, size = len(images), group.order
     with pytest.raises(BudgetExceededError):
         subset_sum_table(group, images, m)

@@ -18,7 +18,7 @@ from agss.curves import (
 from agss import field
 from agss.field import FieldMismatchError, PrimeField, in_row_space, matvec_array, rank_array
 from agss.groups import InstanceTooLargeError, subset_sum_count
-from agss.curves import group_structure
+from agss.curves import GroupTable, group_structure
 from agss.experiments import find_elliptic_curve, find_hyperelliptic_curve, standard_scheme
 from agss.scheme import (
     CodeBasisError,
@@ -28,7 +28,7 @@ from agss.scheme import (
     PrivacyVerdict,
     WrongGenusError,
     _check_orthogonal,
-    _kernel_qualified,
+    _decide_one,
     decide_block_size,
     enumerate_access,
     is_qualified_clx,
@@ -344,7 +344,7 @@ def test_kernel_oracle_matches_the_direct_row_space_test():
             for _ in range(60):
                 a_idx = np.sort(rng.choice(sch.n, size=sch.m - off, replace=False))
                 direct = not in_row_space(sch.player_rows[a_idx], sch.p0_row, p)
-                assert _kernel_qualified(sch, a_idx) == direct
+                assert _decide_one(sch, a_idx, "kernel") == direct
                 verdicts.add(direct)
         assert verdicts == {True, False}
 
@@ -365,10 +365,12 @@ def test_clx_specific_cases():
     table = group_structure(curve)
     m, n = sch.m, sch.n
     d1, d2 = table.group.factors
+    # one log per point: another baby-step stride than the oracle's one batch
+    images = [table.log(pt) for pt in sch.players]
 
     def group_sum(idx):
-        u = sum(table.log(sch.players[i])[0] for i in idx) % d1
-        v = sum(table.log(sch.players[i])[1] for i in idx) % d2
+        u = sum(images[i][0] for i in idx) % d1
+        v = sum(images[i][1] for i in idx) % d2
         return (u, v)
 
     found_zero = found_nonzero = False
@@ -388,11 +390,10 @@ def test_clx_specific_cases():
     assert not is_qualified_clx(sch, s).qualified
 
     # t = m - 1 with the forced zero landing inside A is qualified
-    p0_res = table.log(sch.p0)
     for a in itertools.combinations(range(n), m - 1):
         u, v = group_sum(a)
         b = (-u % d1, -v % d2)
-        if any(table.log(sch.players[i]) == b for i in a):
+        if any(images[i] == b for i in a):
             s = [i for i in range(n) if i not in set(a)]
             assert is_qualified_clx(sch, s).qualified
             break
@@ -464,8 +465,20 @@ def test_enumerate_access():
         # cross-module: size-m complements qualified iff they sum to the identity
         table = group_structure(sch.curve)
         group = table.group
-        images = [table.log(pt) for pt in sch.players]
+        images = table.logs(sch.players)
         assert ac.qualified == subset_sum_count(group, images, sch.m, group.identity)
+
+
+def test_clx_reads_the_scheme_images_without_logging(monkeypatch):
+    sch = build_f13_scheme()
+    assert sch.images.shape == (sch.n + 1, 2)
+    table = group_structure(sch.curve)
+    assert sch.images[0].tolist() == list(table.log(sch.p0))
+    calls = []
+    monkeypatch.setattr(GroupTable, "logs", lambda self, points: calls.append(points))  # log calls it too
+    for t in (sch.m - 1, sch.m):
+        assert enumerate_access(sch, t, "clx") == enumerate_access(sch, t, "kernel")
+    assert calls == []
 
 
 def test_genus2_kernel_and_dual_agree_exhaustively_in_blocks():
@@ -484,7 +497,7 @@ def test_genus2_kernel_and_dual_agree_exhaustively_in_blocks():
             kernel = enumerate_access(sch, t, "kernel")
             assert kernel == enumerate_access(sch, t, "dual")
             # the blocks count what one complement at a time counts
-            one_by_one = sum(_kernel_qualified(sch, a) for a in itertools.combinations(range(sch.n), t))
+            one_by_one = sum(_decide_one(sch, a, "kernel") for a in itertools.combinations(range(sch.n), t))
             assert kernel.qualified == one_by_one
 
 
