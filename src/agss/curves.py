@@ -457,18 +457,36 @@ def rr_basis(curve: Curve, m: int) -> MonomialBasis:
     return MonomialBasis(g, m, tuple(pairs))
 
 
-def eval_basis(curve: Curve, basis: MonomialBasis, pt: Point) -> tuple[int, ...]:
-    """Evaluate every basis monomial at an affine point; values reduced mod p."""
-    if is_infinity(pt):
-        raise EvalAtInfinityError("evaluation points must be affine")
-    curve._require(pt)
+def basis_values(curve: Curve, basis: MonomialBasis, points: Sequence[Point]) -> np.ndarray:
+    """Every basis monomial at every affine point: a len(basis) x len(points)
+    int64 array whose column k holds point k's values, reduced mod p.
+
+    Each point is checked on the curve first (``PointNotOnCurveError``; the
+    point at infinity raises ``EvalAtInfinityError``), then one table of
+    x-powers mod p serves every monomial x^i y^j: a product of two residues
+    stays below 2^62.
+    """
+    for pt in points:
+        if is_infinity(pt):
+            raise EvalAtInfinityError("evaluation points must be affine")
+        curve._require(pt)
     p = curve.field.p
-    x, y = pt.x, pt.y
-    max_i = max((i for i, _ in basis.exponents), default=0)
-    xp = [1] * (max_i + 1)
-    for i in range(1, max_i + 1):
-        xp[i] = xp[i - 1] * x % p
-    return tuple(xp[i] * y % p if j else xp[i] for i, j in basis.exponents)
+    xs = np.array([pt.x for pt in points], dtype=np.int64)
+    ys = np.array([pt.y for pt in points], dtype=np.int64)
+    exponents = np.array(basis.exponents, dtype=np.int64).reshape(-1, 2)
+    powers = np.ones((exponents[:, 0].max(initial=0) + 1, len(xs)), dtype=np.int64)
+    for i in range(1, len(powers)):
+        powers[i] = powers[i - 1] * xs % p
+    values = powers[exponents[:, 0]]
+    with_y = exponents[:, 1] == 1
+    values[with_y] = values[with_y] * ys % p
+    return values
+
+
+def eval_basis(curve: Curve, basis: MonomialBasis, pt: Point) -> tuple[int, ...]:
+    """Evaluate every basis monomial at an affine point: ``basis_values`` at
+    the one point, as a tuple of ints."""
+    return tuple(basis_values(curve, basis, [pt])[:, 0].tolist())
 
 
 # --- specification strings ---------------------------------------------------

@@ -66,11 +66,11 @@ from .groups import (
     subset_sum_table,  # unused here, but bench/probes.py wraps agss.experiments.subset_sum_table
 )
 from .scheme import (
+    DECIDE_BYTES,
     ORACLE_NAMES,
     SchemeInstance,
     _decide,
     check_degree,
-    decide_block_size,
     enumerate_access,
     group_law_rule,
     scheme_build,
@@ -192,34 +192,42 @@ def exact_proportion_elliptic(scheme: SchemeInstance, t: int) -> ProportionEstim
 
 # --- Monte Carlo -------------------------------------------------------------
 
-def _mc_chunk(scheme: SchemeInstance, t: int, seed_seq: tuple[int, ...], count: int, oracle: str) -> int:
-    """Qualified samples among ``count`` uniform size-t complements, drawn
-    and decided in blocks of ``decide_block_size(scheme, t, oracle)``, so
-    each batched elimination holds about ``DECIDE_BYTES`` of systems
-    whatever the oracle and field.
+def _draw_complements(rng: np.random.Generator, n: int, t: int, count: int) -> np.ndarray:
+    """``count`` uniform size-t subsets of range(n) as a count x t int64
+    array, each the head of a partial Fisher-Yates shuffle.
 
-    Each sample is a partial Fisher-Yates shuffle of the players.  One
-    ``integers`` call draws a whole block's swap targets in the order that
-    one call per sample would, so the stream does not depend on the block
-    size.
+    The shuffles run on all samples of a piece at once: t vectorised swap
+    steps on a piece x n array.  A piece is as many samples as
+    ``DECIDE_BYTES`` of int64 swap targets hold, and one ``integers`` call
+    draws its targets in the order that one call per sample would, so the
+    stream does not depend on the piece size.
     """
-    rng = np.random.default_rng(seed_seq)
-    n = scheme.n
+    block = np.empty((count, t), dtype=np.int64)
+    if not t:
+        return block
     lows = np.arange(t, dtype=np.int64)
-    block_size = decide_block_size(scheme, t, oracle)
-    hits = 0
-    for start in range(0, count, block_size):
-        size = min(block_size, count - start)
-        block = np.empty((size, t), dtype=np.int64)
-        if t:
-            js = rng.integers(np.broadcast_to(lows, (size, t)), n).tolist()
-            for row, targets in zip(block, js):
-                arr = list(range(n))
-                for i, j in enumerate(targets):
-                    arr[i], arr[j] = arr[j], arr[i]
-                row[:] = arr[:t]
-        hits += int(_decide(scheme, block, oracle).sum())
-    return hits
+    piece = max(DECIDE_BYTES // (8 * t), 1)
+    for start in range(0, count, piece):
+        size = min(piece, count - start)
+        js = rng.integers(np.broadcast_to(lows, (size, t)), n)
+        arr = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (size, 1))
+        at = np.arange(size)
+        for i in range(t):
+            j = js[:, i]
+            head = arr[:, i].copy()
+            arr[:, i] = arr[at, j]
+            arr[at, j] = head
+        block[start:start + size] = arr[:, :t]
+    return block
+
+
+def _mc_chunk(scheme: SchemeInstance, t: int, seed_seq: tuple[int, ...], count: int, oracle: str) -> int:
+    """Qualified samples among ``count`` uniform size-t complements of the
+    players, all drawn first (``_draw_complements``) and then decided by one
+    ``_decide`` call, which splits them into stacks of at most
+    ``DECIDE_BYTES``."""
+    block = _draw_complements(np.random.default_rng(seed_seq), scheme.n, t, count)
+    return int(_decide(scheme, block, oracle).sum())
 
 
 def mc_proportion(
@@ -344,7 +352,7 @@ def hasse_checks(curve: Curve) -> HasseReport:
     return HasseReport(count, g, q, count_ok, jacobian_ok)
 
 
-def curve_char_sum(curve: EllipticCurve, table, chi: Character, points) -> complex:
+def curve_char_sum(table, chi: Character, points) -> complex:
     """Character sum over curve points through their group coordinates."""
     if chi.is_trivial:
         raise TrivialCharacterError("the trivial character is excluded")

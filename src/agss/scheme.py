@@ -40,7 +40,8 @@ from .curves import (
     MonomialBasis,
     Point,
     WrongGenusError,  # raised by group_structure, imported from here by cli.py
-    eval_basis,
+    basis_values,
+    eval_basis,  # unused here, but bench/probes.py wraps agss.scheme.eval_basis
     group_structure,
     is_infinity,
     rr_basis,
@@ -66,10 +67,13 @@ ENUMERATION_LIMIT = 10**7
 
 ORACLE_NAMES = ("kernel", "dual", "clx")
 
-# bytes of system stack that one batched decision may hold; blocks of
-# complements are sized to it per oracle (``decide_block_size``), which keeps
-# the dual oracle's blocks at q = 211, genus 2 at 8 complements
+# bytes of system stack that one batched elimination may hold: each oracle
+# splits the complements it is given into stacks of at most this size (the
+# dual oracle's hold 8 complements at q = 211, genus 2)
 DECIDE_BYTES = 320 * 1024
+
+# complements per batched decision of ``enumerate_access``
+ENUMERATION_CHUNK = 1024
 
 
 class DuplicatePointError(Exception):
@@ -190,7 +194,8 @@ class SchemeInstance:
 
     @cached_property
     def _kernel_index(self):
-        """The kernel oracle's gather table, pivot columns and free columns.
+        """The kernel oracle's gather table, pivot columns, free columns and
+        free-column mask over the n + 1 points.
 
         Row j of the table is free column j of RREF(gen) read at the pivot
         rows, i.e. ``omega_matrix`` row j at the pivot columns; row F is a
@@ -205,7 +210,7 @@ class SchemeInstance:
         table = np.zeros((len(free) + 2, len(pivots) + 1), dtype=stack_dtype(self.field.p))
         table[:-2, :-1] = self.omega_matrix[:, pivots]
         table[-1, 0] = 1  # row 0, the pivot of column 0, is never removed
-        return table, pivots, free
+        return table, pivots, free, ~is_pivot
 
     @cached_property
     def images(self) -> np.ndarray:
@@ -258,8 +263,7 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
 
     basis = rr_basis(curve, m)
     p = curve.field.p
-    cols = [eval_basis(curve, basis, pt) for pt in pts]
-    gen = np.array(cols, dtype=np.int64).T.copy()  # rows = basis functions, cols = points
+    gen = basis_values(curve, basis, pts)  # rows = basis functions, cols = points
 
     omega, pivots = _kernel_basis(gen, p)
     # nullity = (n + 1) - rank, so full row rank is exactly this kernel size
@@ -385,6 +389,25 @@ def reconstruct(scheme: SchemeInstance, subset: Sequence[int], shares: Sequence)
 
 # --- qualification oracles -----------------------------------------------------
 
+def _kernel_runs(used: np.ndarray, shift: int, itemsize: int) -> list:
+    """Index runs of a block's kernel systems, system k having used[k] + 1
+    columns and used[k] + shift rows: stable-sorted by ``used``, each run
+    fits ``DECIDE_BYTES`` when padded to its last, largest system (one
+    system at least).  A one-system block is the run ``slice(None)``."""
+    if len(used) == 1:
+        return [slice(None)]
+    order = np.argsort(used, kind="stable")
+    nbytes = (used[order] + 1) * (used[order] + shift) * itemsize
+    runs, start = [], 0
+    while start < len(order):
+        # size * nbytes[start + size - 1] grows with size, so the fitting sizes are a prefix
+        fits = np.arange(1, len(order) - start + 1) * nbytes[start:] <= DECIDE_BYTES
+        stop = start + max(int(fits.sum()), 1)
+        runs.append(order[start:stop])
+        start = stop
+    return runs
+
+
 def _kernel_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
     """Qualified iff the P0 column of gen is outside the span of the A
     columns, for each row A of a nonempty B x t block of complements.
@@ -394,32 +417,49 @@ def _kernel_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
     pivot 0), and each pivot column in A is a unit vector that only removes
     its row.  What is left: is e_0 in the span of A's free columns, on the
     remaining pivot rows?  Those columns are rows of ``omega_matrix`` read
-    at the pivot columns, negated, and a sign does not change a span.  One
-    indexing step gathers every system from ``_kernel_index``'s table,
-    padded to the block's largest, and one batched elimination decides the
-    block.
+    at the pivot columns, negated, and a sign does not change a span.
+
+    A system with U used free columns keeps U + P - t of the P pivot rows,
+    so U alone orders the shapes.  The systems are decided in the runs of
+    ``_kernel_runs``: each is gathered from ``_kernel_index``'s table in one
+    indexing step, padded to its largest system, and decided by one batched
+    elimination; the verdicts go back in input order.
     """
-    table, pivots, free_cols = scheme._kernel_index
-    hit = np.zeros((len(a_block), scheme.n + 1), dtype=bool)
-    hit[np.arange(len(a_block))[:, None], a_block + 1] = True
-    removed, used = hit[:, pivots], hit[:, free_cols]
-    kept, free = len(pivots) - removed.sum(axis=1), used.sum(axis=1)
-    # stable argsorts list each system's kept rows and free columns first;
-    # the positions past its own counts read the zero equation and column
-    rows = np.argsort(removed, axis=1, kind="stable")[:, :kept.max()]
-    rows[np.arange(rows.shape[1]) >= kept[:, None]] = len(pivots)
-    columns = np.full((len(a_block), free.max() + 1), len(free_cols) + 1)
-    columns[:, :-1] = np.argsort(~used, axis=1, kind="stable")[:, :free.max()]
-    columns[:, :-1][np.arange(free.max()) >= free[:, None]] = len(free_cols)
-    stack = table[columns[:, :, None], rows[:, None, :]]
-    _eliminate(stack, scheme.field.p, stack.shape[2])
-    return stack[:, -1].any(axis=1)
+    table, pivots, free_cols, is_free = scheme._kernel_index
+    npiv = len(pivots)
+    shift = npiv - a_block.shape[1]  # kept rows minus used free columns
+    used = is_free[a_block + 1].sum(axis=1)
+    verdicts = np.empty(len(a_block), dtype=bool)
+    for run in _kernel_runs(used, shift, table.itemsize):
+        free = used[run]
+        width = int(free[-1])
+        hit = np.zeros((len(free), scheme.n + 1), dtype=bool)
+        hit[np.arange(len(free))[:, None], a_block[run] + 1] = True
+        # stable argsorts list each system's kept rows and free columns first;
+        # the positions past its own counts read the zero equation and column
+        rows = np.argsort(hit[:, pivots], axis=1, kind="stable")[:, :width + shift]
+        rows[np.arange(width + shift) >= (free + shift)[:, None]] = npiv
+        columns = np.full((len(free), width + 1), len(free_cols) + 1)
+        columns[:, :-1] = np.argsort(~hit[:, free_cols], axis=1, kind="stable")[:, :width]
+        columns[:, :-1][np.arange(width) >= free[:, None]] = len(free_cols)
+        stack = table[columns[:, :, None], rows[:, None, :]]
+        _eliminate(stack, scheme.field.p, stack.shape[2])
+        verdicts[run] = stack[:, -1].any(axis=1)
+    return verdicts
 
 
 def _dual_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
     """Qualified iff A's system in ``_p0_systems`` is solvable, for each row
-    A of a nonempty B x t block, decided by one batched elimination."""
-    return solvable_stack(*_p0_systems(scheme, a_block), scheme.field.p)
+    A of a nonempty B x t block, decided by batched eliminations of as many
+    systems as fit ``DECIDE_BYTES`` (one at least): every system has the
+    same (t + 1) x (dim_code + 1) shape."""
+    count, t = a_block.shape
+    p = scheme.field.p
+    size = max(DECIDE_BYTES // ((t + 1) * (scheme.dim_code + 1) * np.dtype(stack_dtype(p)).itemsize), 1)
+    return np.concatenate([
+        solvable_stack(*_p0_systems(scheme, a_block[start:start + size]), p)
+        for start in range(0, count, size)
+    ])
 
 
 def group_law_rule(group: AbelianGroup, p0: GroupElement, m: int, t: int):
@@ -450,34 +490,10 @@ def _clx_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
 _ORACLES = {"kernel": _kernel_block, "dual": _dual_block, "clx": _clx_block}
 
 
-def decide_block_size(scheme: SchemeInstance, t: int, oracle: str) -> int:
-    """Size-t complements per batched decision: ``DECIDE_BYTES`` over the
-    stack bytes of one typical system of the oracle, and at least 1.
-
-    * kernel -- the mean kept pivot rows + 1 by the mean used free columns
-      + 2: the hypergeometric means of a random t-subset of the players
-      against the P - 1 player pivots and the n - P + 1 free columns;
-    * dual -- an evaluation-code word, decided on the generator matrix:
-      dim_code + 1 columns of t + 1 equations (``_p0_systems``);
-    * clx -- t group elements of two int64 coordinates.
-    """
-    itemsize = np.dtype(stack_dtype(scheme.field.p)).itemsize
-    if oracle == "kernel":
-        n, pivots = scheme.n, len(scheme.pivots)
-        kept = pivots - t * (pivots - 1) / n
-        used = t * (n - pivots + 1) / n
-        nbytes = (kept + 1) * (used + 2) * itemsize
-    elif oracle == "dual":
-        nbytes = (t + 1) * (scheme.dim_code + 1) * itemsize
-    elif oracle == "clx":
-        nbytes = 16 * t
-    else:
-        raise ValueError(f"unknown oracle {oracle!r}; choose from {ORACLE_NAMES}")
-    return max(1, int(DECIDE_BYTES // max(nbytes, 1)))
-
-
 def _decide(scheme: SchemeInstance, a_block: np.ndarray, oracle: str) -> np.ndarray:
-    """The oracle's verdict on each row of a B x t block of complements."""
+    """The oracle's verdict on each row of a nonempty B x t block of
+    complements; each oracle splits the block into stacks that fit
+    ``DECIDE_BYTES``, so a caller passes blocks of any size."""
     try:
         fn = _ORACLES[oracle]
     except KeyError:
@@ -540,10 +556,9 @@ def enumerate_access(scheme: SchemeInstance, t: int, oracle: str = "kernel") -> 
     total = math.comb(n, t)
     if total > ENUMERATION_LIMIT:
         raise InstanceTooLargeError(f"C({n},{t}) = {total} exceeds the exhaustive limit {ENUMERATION_LIMIT}")
-    size = decide_block_size(scheme, t, oracle)
     qualified = 0
     combos = combinations(range(n), t)
-    while block := list(islice(combos, size)):
+    while block := list(islice(combos, ENUMERATION_CHUNK)):
         a_block = np.array(block, dtype=np.int64).reshape(len(block), t)
         qualified += int(_decide(scheme, a_block, oracle).sum())
     return AccessCount(qualified, total)

@@ -31,7 +31,6 @@ from agss.scheme import (
     WrongGenusError,
     _decide,
     _decide_one,
-    decide_block_size,
     enumerate_access,
     scheme_build,
 )
@@ -165,22 +164,25 @@ def test_mc_blocks_draw_the_one_by_one_stream(monkeypatch):
         return _decide(scheme, a_block, oracle)
 
     monkeypatch.setattr(experiments, "_decide", record)
-    wide = decide_block_size(big, big.m - 1, "kernel")
-    assert wide > 8
-    # counts that leave a partial block (one of them after two full wide
-    # blocks), and t = 0 (no draws)
+    t = big.m - 1
+    assert DECIDE_BYTES // (8 * t) > 205
+    # (scheme, t, count, draw budget): at the real budget a piece of swap
+    # targets holds every sample here; a budget of 64 samples' targets
+    # leaves two full pieces and a partial one; t = 0 draws nothing
     cases = [
-        (big, big.m - 1, 2 * wide + 5),
-        (small, small.m, decide_block_size(small, small.m, "kernel") - 1),
-        (small, small.m - 2, 5),
-        (small, 0, 5),
+        (big, t, 205, DECIDE_BYTES),
+        (big, t, 2 * 64 + 5, 8 * t * 64),
+        (small, small.m, 37, DECIDE_BYTES),
+        (small, small.m - 2, 5, DECIDE_BYTES),
+        (small, 0, 5, DECIDE_BYTES),
     ]
-    for sch, t, count in cases:
+    for sch, t, count, budget in cases:
+        monkeypatch.setattr(experiments, "DECIDE_BYTES", budget)
         seen.clear()
         widths.clear()
         hits = experiments._mc_chunk(sch, t, (9, t), count, "kernel")
-        size = decide_block_size(sch, t, "kernel")
-        assert widths == [size] * (count // size) + [count % size]
+        # the whole chunk is drawn first and decided by one call
+        assert widths == [count]
         assert seen == _mc_complements_one_by_one(sch.n, t, (9, t), count)
         assert hits == sum(_decide_one(sch, a, "kernel") for a in seen)
 
@@ -195,11 +197,6 @@ def test_decision_stacks_stay_within_the_byte_budget(monkeypatch):
         stacks.append((m.shape, m.nbytes))
         eliminate(m, p, rows)
 
-    # the kernel pads each block to its largest system, whose kept rows and
-    # used columns sit past the hypergeometric means that size the block;
-    # four standard deviations of both (2.5 at q = 101, 3.5 at q = 211)
-    # make a stack 1.78 times the typical one at q = 101 and 1.58 at q = 211
-    slack = 1.8
     schemes = {q: standard_scheme(find_hyperelliptic_curve(q), 0.5) for q in (101, 211)}
     monkeypatch.setattr(scheme_module, "_eliminate", record)
     monkeypatch.setattr(field_module, "_eliminate", record)
@@ -210,12 +207,11 @@ def test_decision_stacks_stay_within_the_byte_budget(monkeypatch):
             for t in range(sch.m - 3, sch.m + 1):
                 mc_proportion(sch, t, 200, (42, q, t), oracle)
             assert stacks
-            assert max(nbytes for _, nbytes in stacks) <= slack * DECIDE_BYTES, (q, oracle)
-            if oracle == "dual":
-                # the dual's stacks are unpadded, so they meet the budget itself
-                assert max(nbytes for _, nbytes in stacks) <= DECIDE_BYTES
-                if q == 211:
-                    assert max(shape[0] for shape, _ in stacks) <= 8
+            # the kernel pads each run of its systems only to the run's
+            # largest, and sizes the run by that padded stack
+            assert max(nbytes for _, nbytes in stacks) <= DECIDE_BYTES, (q, oracle)
+            if oracle == "dual" and q == 211:
+                assert max(shape[0] for shape, _ in stacks) <= 8
 
 
 def test_mc_covers_exact_value():
@@ -378,12 +374,12 @@ def test_curve_char_sum():
     pts = enumerate_points(curve)
     chi = next(c for c in group.characters() if not c.is_trivial)
     # full point set: orthogonality
-    assert abs(curve_char_sum(curve, table, chi, pts)) < 1e-9
+    assert abs(curve_char_sum(table, chi, pts)) < 1e-9
     # all but two points: complement bound
-    assert abs(curve_char_sum(curve, table, chi, pts[2:])) <= 2 + 1e-9
+    assert abs(curve_char_sum(table, chi, pts[2:])) <= 2 + 1e-9
     with pytest.raises(TrivialCharacterError):
         trivial = group.character((0,) * len(group.factors))
-        curve_char_sum(curve, table, trivial, pts)
+        curve_char_sum(table, trivial, pts)
 
 
 def test_find_curves_deterministic():

@@ -10,12 +10,16 @@ from hypothesis import strategies as st
 
 from agss.curves import (
     INFINITY,
+    AffinePoint,
+    PointNotOnCurveError,
     SingularCurveError,
     affine_points,
     elliptic_curve,
+    eval_basis,
     hyperelliptic_curve,
 )
 from agss import field
+from agss import scheme as scheme_module
 from agss.field import FieldMismatchError, PrimeField, in_row_space, matvec_array, rank_array
 from agss.groups import InstanceTooLargeError, subset_sum_count
 from agss.curves import GroupTable, group_structure
@@ -24,12 +28,13 @@ from agss.scheme import (
     CodeBasisError,
     DegreeOutOfRangeError,
     DuplicatePointError,
+    ENUMERATION_CHUNK,
     NotQualifiedError,
     PrivacyVerdict,
     WrongGenusError,
     _check_orthogonal,
+    _decide,
     _decide_one,
-    decide_block_size,
     enumerate_access,
     is_qualified_clx,
     is_qualified_dual,
@@ -349,6 +354,70 @@ def test_kernel_oracle_matches_the_direct_row_space_test():
         assert verdicts == {True, False}
 
 
+def _complements_of_every_used_count(sch, t, rng, repeats):
+    """Size-t complements with every feasible count U of players at free
+    columns of gen (the kernel systems' shape), ``repeats`` of each, shuffled."""
+    is_pivot = np.zeros(sch.n + 1, dtype=bool)
+    is_pivot[list(sch.pivots)] = True
+    pivot_players = np.flatnonzero(is_pivot[1:])
+    free_players = np.flatnonzero(~is_pivot[1:])
+    rows = [
+        np.concatenate([rng.choice(free_players, size=u, replace=False),
+                        rng.choice(pivot_players, size=t - u, replace=False)])
+        for u in range(max(0, t - len(pivot_players)), min(t, len(free_players)) + 1)
+        for _ in range(repeats)
+    ]
+    return rng.permutation(np.array(rows, dtype=np.int64))
+
+
+def test_a_block_spanning_every_system_shape_decides_each_row_alone(monkeypatch):
+    stacks = []
+    eliminate = field._eliminate
+
+    def record(m, p, rows):
+        stacks.append(m.shape)
+        eliminate(m, p, rows)
+
+    monkeypatch.setattr(scheme_module, "_eliminate", record)
+    rng = np.random.default_rng(23)
+    cases = [(standard_scheme(find_hyperelliptic_curve(101), 0.5), 3), (build_f13_scheme(), 4)]
+    for sch, repeats in cases:
+        seen = set()
+        # the gray zone's lower offsets are mostly unqualified, the upper ones qualified
+        for t in (sch.m - 2, sch.m - 1, sch.m):
+            block = _complements_of_every_used_count(sch, t, rng, repeats)
+            for oracle in ("kernel", "dual"):
+                stacks.clear()
+                verdicts = _decide(sch, block, oracle)
+                if oracle == "kernel" and sch.field.p == 101:
+                    # split into several runs of different system widths
+                    assert len({shape[1] for shape in stacks}) > 2
+                assert verdicts.tolist() == [_decide_one(sch, a, oracle) for a in block]
+                seen.update(verdicts.tolist())
+                perm = rng.permutation(len(block))
+                assert _decide(sch, block[perm], oracle).tolist() == verdicts[perm].tolist()
+                assert _decide(sch, block[-1:], oracle).tolist() == verdicts[-1:].tolist()
+        assert seen == {True, False}
+        for oracle in ("kernel", "dual"):
+            # t = 0: the full player set, qualified
+            assert _decide(sch, np.empty((5, 0), dtype=np.int64), oracle).tolist() == [True] * 5
+
+
+def test_gen_matrix_is_the_basis_at_every_point():
+    curves = [find_elliptic_curve(101), find_hyperelliptic_curve(101), find_hyperelliptic_curve(31, 3)]
+    for curve in curves:
+        sch = standard_scheme(curve, 0.5)
+        p = curve.field.p
+        pts = (sch.p0, *sch.players)
+        expected = [[pow(pt.x, i, p) * pt.y ** j % p for pt in pts] for i, j in sch.basis]
+        assert sch.gen_matrix.tolist() == expected
+        # eval_basis is the one-point case
+        assert eval_basis(curve, sch.basis, pts[-1]) == tuple(row[-1] for row in expected)
+        off = next(AffinePoint(0, y) for y in range(p) if not curve.contains(AffinePoint(0, y)))
+        with pytest.raises(PointNotOnCurveError):
+            scheme_build(curve, sch.p0, (*sch.players[:-1], off), sch.m)
+
+
 def test_pivots_survive_pickling():
     sch = build_genus2_scheme()
     assert sch.pivots[0] == 0 and len(sch.pivots) == sch.dim_code
@@ -482,16 +551,15 @@ def test_clx_reads_the_scheme_images_without_logging(monkeypatch):
 
 
 def test_genus2_kernel_and_dual_agree_exhaustively_in_blocks():
-    # every size t, so for each oracle some total C(n, t) spans more than
-    # one of its blocks and ends in a partial block (the kernel's blocks
-    # reach C(n, t) only on the q = 19 scheme, n = 14)
+    # every size t, so some total C(n, t) spans more than one of
+    # enumerate_access's fixed-count chunks and ends in a partial chunk
+    # (only on the q = 19 scheme, n = 14)
     schemes = [build_genus2_scheme()] + [standard_scheme(find_hyperelliptic_curve(q), 0.5) for q in (13, 19)]
-    for oracle in ("kernel", "dual"):
-        assert any(
-            math.comb(sch.n, t) > (size := decide_block_size(sch, t, oracle)) and math.comb(sch.n, t) % size
-            for sch in schemes
-            for t in range(sch.n + 1)
-        )
+    assert any(
+        math.comb(sch.n, t) > ENUMERATION_CHUNK and math.comb(sch.n, t) % ENUMERATION_CHUNK
+        for sch in schemes
+        for t in range(sch.n + 1)
+    )
     for sch in schemes:
         for t in range(sch.n + 1):
             kernel = enumerate_access(sch, t, "kernel")
