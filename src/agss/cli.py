@@ -7,8 +7,8 @@ carry data, stderr carries diagnostics.
 Exit codes: 0 success, 2 parse/config error, 3 singular or malformed
 curve, 4 reconstruction from an unqualified subset, 5 oracle disagreement
 (internal bug signal), 6 declared DP/sample budget exceeded.  Commands
-raise; ``main`` assigns every code but 5 from one table, prints one
-``error:`` line and lets any other exception propagate.
+raise; ``main`` assigns every code from one table, prints one ``error:``
+line and lets any other exception propagate.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from .scheme import (
     DegreeOutOfRangeError,
     DuplicatePointError,
     NotQualifiedError,
+    OracleDisagreementError,
     WrongGenusError,
     ShareVector,
     is_qualified_clx,
@@ -78,6 +79,7 @@ _EXIT_CODES = {
     SingularCurveError: EXIT_CURVE,
     BadDegreeError: EXIT_CURVE,
     NotQualifiedError: EXIT_NOT_QUALIFIED,
+    OracleDisagreementError: EXIT_DISAGREEMENT,
     BudgetExceededError: EXIT_BUDGET,
     InstanceTooLargeError: EXIT_BUDGET,
     ValueError: EXIT_PARSE,
@@ -89,10 +91,6 @@ _EXIT_CODES = {
     UnsupportedOffsetError: EXIT_PARSE,
     RegimeMismatchError: EXIT_PARSE,
 }
-
-
-def _err(msg: str) -> None:
-    print(f"error: {msg}", file=sys.stderr)
 
 
 def _split_ints(text: str) -> tuple:
@@ -192,8 +190,7 @@ def cmd_scheme(args) -> int:
     for name, q in verdicts.items():
         print(f"{name}={'Qualified' if q else 'Unqualified'}")
     if len(set(verdicts.values())) > 1:
-        _err("oracle disagreement: this is a bug in the library")
-        return EXIT_DISAGREEMENT
+        raise OracleDisagreementError("oracle disagreement: this is a bug in the library")
     return EXIT_OK
 
 
@@ -349,7 +346,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(_EXIT_CODES) as exc:
-        _err(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 

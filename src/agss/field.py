@@ -260,8 +260,8 @@ def kernel_array(a: np.ndarray, p: int) -> list[np.ndarray]:
     return list(_kernel_basis(a, p)[0])
 
 
-def _solve(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution of a x = b (free variables set to 0), or None.
+def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """One solution of a x = b (free variables set to 0), or NoSolutionError.
 
     One column reduction of [a | b]: the system is solvable iff b is not a
     pivot column, and then b's bookkeeping, 1 at b and minus x at the pivot
@@ -273,16 +273,8 @@ def _solve(a: np.ndarray, b: np.ndarray, p: int):
         raise ValueError(f"rhs length {b.shape[0]} != row count {a.shape[0]}")
     is_pivot, book = _reduce(np.hstack([a, b[:, None]]), p)
     if is_pivot[-1]:
-        return None
-    return (-book[-1, :-1] % p).astype(np.int64)
-
-
-def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """One solution of a x = b (free variables set to 0), or NoSolutionError."""
-    x = _solve(a, b, p)
-    if x is None:
         raise NoSolutionError("right-hand side is not in the column space")
-    return x
+    return (-book[-1, :-1] % p).astype(np.int64)
 
 
 def solvable_stack(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

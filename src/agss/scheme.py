@@ -13,8 +13,8 @@ Three independent oracles decide this:
 * ``kernel`` -- does some function vanish on the complement A = players \\ S
   while staying nonzero at P0?  (linear algebra on the function basis)
 * ``dual``   -- is there an evaluation-code word equal to 1 at position 0
-  and zero on A?  (decided on the generator matrix: the system
-  [player_rows[A]; p0_row] c = e_last that ``reconstruct`` solves)
+  and zero on A?  (decided on the generator matrix: c . gen is 0 at A's
+  columns and 1 at P0's, the system ``reconstruct`` solves)
 * ``clx``    -- the group-law criterion on elliptic curves: with t = |A| and
   B the group inverse of the sum of A, qualified means t <= m - 2, or
   t = m and the sum of A is the group identity, or t = m - 1 and B != P0.
@@ -57,8 +57,7 @@ from .field import (
     matvec_array,
     rank_array,  # unused here, but bench/probes.py wraps agss.scheme.rank_array
     solvable_array,  # unused here, but bench/probes.py wraps agss.scheme.solvable_array
-    solvable_stack,
-    solve_array,
+    solve_array,  # unused here, but bench/probes.py wraps agss.scheme.solve_array
     stack_dtype,
 )
 from .groups import AbelianGroup, GroupElement, InstanceTooLargeError
@@ -67,9 +66,9 @@ ENUMERATION_LIMIT = 10**7
 
 ORACLE_NAMES = ("kernel", "dual", "clx")
 
-# bytes of system stack that one batched elimination may hold: each oracle
-# splits the complements it is given into stacks of at most this size (the
-# dual oracle's hold 8 complements at q = 211, genus 2)
+# bytes of system stack that one batched elimination may hold: the kernel
+# and dual oracles split the complements they are given into runs of
+# ``_stack_runs`` (the dual's runs hold 8 complements at q = 211, genus 2)
 DECIDE_BYTES = 320 * 1024
 
 # complements per batched decision of ``enumerate_access``
@@ -90,6 +89,10 @@ class SecretPositionDegenerateError(Exception):
 
 class NotQualifiedError(Exception):
     """Reconstruction attempted from an unqualified subset."""
+
+
+class OracleDisagreementError(Exception):
+    """Two oracles decided one subset differently: an implementation bug."""
 
 
 class CodeBasisError(ArithmeticError):
@@ -145,7 +148,8 @@ class SchemeInstance:
     entries reduced mod p.  ``pivots`` are the pivot columns of the RREF of
     ``gen_matrix``; with them, ``omega_matrix`` also holds that RREF's free
     block: ``omega_matrix[j, pivots[i]] == -RREF[i, f_j]`` for the j-th
-    free column f_j.
+    free column f_j.  The kernel and dual oracles gather their systems from
+    tables cached on first use, ``_kernel_index`` and ``_p0_table``.
     """
 
     curve: Curve
@@ -184,15 +188,6 @@ class SchemeInstance:
         return self.omega_matrix.shape[0]
 
     @cached_property
-    def player_rows(self) -> np.ndarray:
-        """Row i = basis values at player i (shape n x dim_code)."""
-        return np.ascontiguousarray(self.gen_matrix[:, 1:].T)
-
-    @cached_property
-    def p0_row(self) -> np.ndarray:
-        return self.gen_matrix[:, 0].copy()
-
-    @cached_property
     def _kernel_index(self):
         """The kernel oracle's gather table, pivot columns, free columns and
         free-column mask over the n + 1 points.
@@ -211,6 +206,16 @@ class SchemeInstance:
         table[:-2, :-1] = self.omega_matrix[:, pivots]
         table[-1, 0] = 1  # row 0, the pivot of column 0, is never removed
         return table, pivots, free, ~is_pivot
+
+    @cached_property
+    def _p0_table(self) -> np.ndarray:
+        """The dual oracle's gather table: ``gen_matrix`` above the row of the
+        right-hand side (1 at P0, column 0), then the identity for bookkeeping."""
+        dim, points = self.gen_matrix.shape
+        table = np.eye(dim + 1, points + dim + 1, points, dtype=stack_dtype(self.field.p))
+        table[:dim, :points] = self.gen_matrix
+        table[dim, 0] = 1
+        return table
 
     @cached_property
     def images(self) -> np.ndarray:
@@ -338,32 +343,35 @@ def _complement(scheme: SchemeInstance, subset: Sequence[int]) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
-def _p0_systems(scheme: SchemeInstance, a_block: np.ndarray):
-    """The systems [player_rows[A]; p0_row] c = e_last, one per row A of a
-    B x t block: stacked B x (t + 1) x dim_code, and their right-hand side.
-
-    A solution c is a function vanishing at the players in A with c(P0) = 1,
-    so a system is solvable exactly when the complement of A is qualified.
-    Every complement has t players, so the systems stack unpadded.
-    """
-    count, t = a_block.shape
-    rows = np.empty((count, t + 1, scheme.dim_code), dtype=np.int64)
-    rows[:, :t] = scheme.player_rows[a_block]
-    rows[:, t] = scheme.p0_row
-    rhs = np.zeros(t + 1, dtype=np.int64)
-    rhs[t] = 1
-    return rows, rhs
+def _p0_stack(scheme: SchemeInstance, a_block: np.ndarray, book: bool) -> np.ndarray:
+    """The systems c . gen = 0 at A's columns and 1 at P0's, one per row A
+    of a B x t block, each gathered from ``_p0_table`` straight into its
+    slot of the B x (dim_code + 1) x (t + 1) stack, stored by columns with
+    the right-hand side last (and the identity below as bookkeeping if
+    ``book``), and column-reduced.  A solution c vanishes at the players in
+    A with c(P0) = 1, so a system is solvable, its right-hand side ending
+    zero on the equations, exactly when the complement of A is qualified."""
+    table, (count, t) = scheme._p0_table, a_block.shape
+    bookkeeping = np.arange(scheme.n + 1, table.shape[1]) if book else np.arange(0)
+    equations = np.zeros((count, t + 1 + len(bookkeeping)), dtype=np.int64)
+    equations[:, :t] = a_block + 1  # equation t is P0's, column 0
+    equations[:, t + 1:] = bookkeeping
+    stack = np.empty((count, len(table), equations.shape[1]), dtype=table.dtype)
+    for system, columns in zip(stack, equations):
+        np.take(table, columns, axis=1, out=system)
+    _eliminate(stack, scheme.field.p, t + 1)
+    return stack
 
 
 def _p0_witness(scheme: SchemeInstance, a_idx: np.ndarray) -> np.ndarray:
-    """The solution c of A's system in ``_p0_systems``: a function vanishing
-    at the players in A with c(P0) = 1.
-
-    Raises NoSolutionError when every function vanishing on A also vanishes
-    at P0, i.e. when the complement of A is not qualified.
-    """
-    rows, rhs = _p0_systems(scheme, a_idx[None])
-    return solve_array(rows[0], rhs, scheme.field.p)
+    """The solution c of A's system in ``_p0_stack``, free variables set to
+    0, read off the right-hand side's bookkeeping (1 at itself, minus c at
+    the unknowns).  Raises NoSolutionError when every function vanishing on
+    A also vanishes at P0, i.e. when the complement of A is not qualified."""
+    rhs = _p0_stack(scheme, np.asarray(a_idx, dtype=np.int64)[None], book=True)[0, -1]
+    if rhs[:len(a_idx) + 1].any():
+        raise NoSolutionError("every function vanishing on the complement vanishes at P0")
+    return (-rhs[len(a_idx) + 1:-1] % scheme.field.p).astype(np.int64)
 
 
 def reconstruct(scheme: SchemeInstance, subset: Sequence[int], shares: Sequence) -> FieldElement:
@@ -381,7 +389,7 @@ def reconstruct(scheme: SchemeInstance, subset: Sequence[int], shares: Sequence)
         coeff = _p0_witness(scheme, _complement(scheme, s_idx))
     except NoSolutionError:
         raise NotQualifiedError(f"subset {list(s_idx)} cannot reconstruct the secret") from None
-    weights = matvec_array(scheme.player_rows[list(s_idx)], coeff, p)
+    weights = matvec_array(scheme.gen_matrix[:, np.array(s_idx, dtype=np.int64) + 1].T, coeff, p)
     share_vals = np.array([_residue(scheme.field, v) for v in shares], dtype=np.int64)
     total = int((weights * share_vals % p).sum() % p)
     return scheme.field.element(-total)
@@ -389,9 +397,9 @@ def reconstruct(scheme: SchemeInstance, subset: Sequence[int], shares: Sequence)
 
 # --- qualification oracles -----------------------------------------------------
 
-def _kernel_runs(used: np.ndarray, shift: int, itemsize: int) -> list:
-    """Index runs of a block's kernel systems, system k having used[k] + 1
-    columns and used[k] + shift rows: stable-sorted by ``used``, each run
+def _stack_runs(used: np.ndarray, shift: int, itemsize: int) -> list:
+    """Index runs of a block's systems, system k having used[k] + 1 columns
+    and used[k] + shift equations: stable-sorted by ``used``, each run
     fits ``DECIDE_BYTES`` when padded to its last, largest system (one
     system at least).  A one-system block is the run ``slice(None)``."""
     if len(used) == 1:
@@ -421,7 +429,7 @@ def _kernel_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
 
     A system with U used free columns keeps U + P - t of the P pivot rows,
     so U alone orders the shapes.  The systems are decided in the runs of
-    ``_kernel_runs``: each is gathered from ``_kernel_index``'s table in one
+    ``_stack_runs``: each is gathered from ``_kernel_index``'s table in one
     indexing step, padded to its largest system, and decided by one batched
     elimination; the verdicts go back in input order.
     """
@@ -430,7 +438,7 @@ def _kernel_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
     shift = npiv - a_block.shape[1]  # kept rows minus used free columns
     used = is_free[a_block + 1].sum(axis=1)
     verdicts = np.empty(len(a_block), dtype=bool)
-    for run in _kernel_runs(used, shift, table.itemsize):
+    for run in _stack_runs(used, shift, table.itemsize):
         free = used[run]
         width = int(free[-1])
         hit = np.zeros((len(free), scheme.n + 1), dtype=bool)
@@ -449,17 +457,14 @@ def _kernel_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
 
 
 def _dual_block(scheme: SchemeInstance, a_block: np.ndarray) -> np.ndarray:
-    """Qualified iff A's system in ``_p0_systems`` is solvable, for each row
-    A of a nonempty B x t block, decided by batched eliminations of as many
-    systems as fit ``DECIDE_BYTES`` (one at least): every system has the
-    same (t + 1) x (dim_code + 1) shape."""
-    count, t = a_block.shape
-    p = scheme.field.p
-    size = max(DECIDE_BYTES // ((t + 1) * (scheme.dim_code + 1) * np.dtype(stack_dtype(p)).itemsize), 1)
-    return np.concatenate([
-        solvable_stack(*_p0_systems(scheme, a_block[start:start + size]), p)
-        for start in range(0, count, size)
-    ])
+    """Qualified iff A's system in ``_p0_stack`` is solvable, for each row A
+    of a nonempty B x t block.  The systems have one shape, so the runs of
+    ``_stack_runs`` are equal chunks, each reduced without bookkeeping."""
+    (count, t), dim = a_block.shape, scheme.dim_code
+    verdicts = np.empty(count, dtype=bool)
+    for run in _stack_runs(np.full(count, dim), t + 1 - dim, scheme._p0_table.itemsize):
+        verdicts[run] = ~_p0_stack(scheme, a_block[run], book=False)[:, -1].any(axis=1)
+    return verdicts
 
 
 def group_law_rule(group: AbelianGroup, p0: GroupElement, m: int, t: int):
@@ -507,11 +512,16 @@ def _decide_one(scheme: SchemeInstance, a_idx, oracle: str) -> bool:
 
 def is_qualified_kernel(scheme: SchemeInstance, subset: Sequence[int]) -> QualifiedVerdict:
     """Function-space oracle; when qualified, the witness is the function
-    that vanishes on the complement and equals 1 at P0."""
+    that vanishes on the complement and equals 1 at P0, from the dual
+    oracle's system (OracleDisagreementError if that has no solution)."""
     a_idx = _complement(scheme, _check_subset(scheme, subset))
     if not _decide_one(scheme, a_idx, "kernel"):
         return QualifiedVerdict(False)
-    return QualifiedVerdict(True, _p0_witness(scheme, a_idx))
+    try:
+        return QualifiedVerdict(True, _p0_witness(scheme, a_idx))
+    except NoSolutionError:
+        raise OracleDisagreementError(f"oracle disagreement: kernel finds complement {a_idx.tolist()} "
+                                      "qualified, dual finds no witness") from None
 
 
 def is_qualified_dual(scheme: SchemeInstance, subset: Sequence[int]) -> QualifiedVerdict:

@@ -171,6 +171,40 @@ def test_corrupted_share_code_basis_makes_kernel_and_dual_disagree(capsys, monke
     assert "oracle disagreement" in err
 
 
+def test_kernel_only_qualified_complement_exits_5_without_a_traceback(capsys, monkeypatch):
+    # the reverse of the disagreement above: with this corrupted share-code
+    # basis the kernel oracle finds 116 complements of E/F_13 qualified whose
+    # dual system has no solution, so is_qualified_kernel finds no witness
+    import dataclasses
+
+    import agss.cli
+    from agss.curves import affine_points
+    from agss.scheme import OracleDisagreementError, _decide_one, is_qualified_kernel, scheme_build
+
+    curve = elliptic_curve(13, 1, 1)
+    pts = affine_points(curve)
+    sch = scheme_build(curve, pts[0], pts[1:], 5)
+    omega = sch.omega_matrix.copy()
+    omega[0, sch.pivots[1]] = (omega[0, sch.pivots[1]] + 1) % sch.field.p
+    omega.flags.writeable = False
+    corrupted = dataclasses.replace(sch, omega_matrix=omega)
+    a_idx = (1, 2, 4, 14)
+    assert _decide_one(corrupted, a_idx, "kernel") and not _decide_one(corrupted, a_idx, "dual")
+    subset = [i for i in range(sch.n) if i not in a_idx]
+    with pytest.raises(OracleDisagreementError, match="oracle disagreement"):
+        is_qualified_kernel(corrupted, subset)
+
+    monkeypatch.setattr(agss.cli, "_build_scheme_from_args", lambda args: (corrupted, curve))
+    code, out, err = run(
+        capsys, "scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5",
+        "--action", "qualify", "--subset", ",".join(str(i + 1) for i in subset),
+    )
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: oracle disagreement")
+    assert "Traceback" not in err
+
+
 def test_scheme_p0_override(capsys):
     # (0, 1) lies on y^2 = x^3 + x + 1 over F_13
     code, out, _ = run(

@@ -188,8 +188,8 @@ def test_mc_blocks_draw_the_one_by_one_stream(monkeypatch):
 
 
 def test_decision_stacks_stay_within_the_byte_budget(monkeypatch):
-    # the kernel oracle eliminates in agss.scheme, the dual through
-    # agss.field.solvable_stack; both reach field._eliminate
+    # both oracles gather their stacks in agss.scheme and eliminate them
+    # with the _eliminate it imports from agss.field
     stacks = []
     eliminate = field_module._eliminate
 
@@ -212,6 +212,25 @@ def test_decision_stacks_stay_within_the_byte_budget(monkeypatch):
             assert max(nbytes for _, nbytes in stacks) <= DECIDE_BYTES, (q, oracle)
             if oracle == "dual" and q == 211:
                 assert max(shape[0] for shape, _ in stacks) <= 8
+
+
+def test_dual_decision_memory_stays_near_its_stacks():
+    # the dual stacks are gathered straight into the int32 stack that
+    # _eliminate reduces; what remains above one DECIDE_BYTES stack is
+    # mostly the elimination's own update temporary
+    import tracemalloc
+
+    for q in (101, 211):
+        sch = standard_scheme(find_hyperelliptic_curve(q), 0.5)
+        block = np.argsort(np.random.default_rng(q).random((1024, sch.n)), axis=1)[:, :sch.m]
+        _decide(sch, block[:1], "dual")  # builds the scheme's cached tables
+        tracemalloc.start()
+        try:
+            _decide(sch, block, "dual")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * DECIDE_BYTES, (q, peak)
 
 
 def test_mc_covers_exact_value():

@@ -35,6 +35,7 @@ from agss.scheme import (
     _check_orthogonal,
     _decide,
     _decide_one,
+    _p0_witness,
     enumerate_access,
     is_qualified_clx,
     is_qualified_dual,
@@ -204,14 +205,16 @@ def test_oracles_agree_exhaustively_and_witnesses_check_out():
                 if v.qualified:
                     w = v.witness
                     assert w is not None
-                    vals = matvec_array(sch.player_rows, w, p)
+                    vals = matvec_array(sch.gen_matrix[:, 1:].T, w, p)
                     assert all(vals[i] == 0 for i in a)
-                    assert int((sch.p0_row * w % p).sum() % p) != 0
+                    assert int((sch.gen_matrix[:, 0] * w % p).sum() % p) != 0
 
 
 def _count_eliminations(monkeypatch):
     """Record (stack shape, equation count) of every call into the one
-    elimination loop."""
+    elimination loop, from agss.field and from agss.scheme."""
+    import agss.scheme
+
     calls = []
     eliminate = field._eliminate
 
@@ -220,13 +223,14 @@ def _count_eliminations(monkeypatch):
         return eliminate(m, p, rows)
 
     monkeypatch.setattr(field, "_eliminate", counting)
+    monkeypatch.setattr(agss.scheme, "_eliminate", counting)
     return calls
 
 
 def test_qualified_dual_eliminates_the_subset_system_once(monkeypatch):
     sch = build_f13_scheme()
     calls = _count_eliminations(monkeypatch)
-    # one elimination of the complement's system [player_rows[A]; p0_row],
+    # one elimination of the complement's system [gen[:, A + 1].T; gen[:, 0]],
     # which gives the verdict and the witness: t + 1 equations in dim_code
     # + 1 columns (the rhs included), with that many bookkeeping entries
     # below them
@@ -235,6 +239,33 @@ def test_qualified_dual_eliminates_the_subset_system_once(monkeypatch):
         assert is_qualified_dual(sch, s).qualified == qualified
         t = sch.n - len(s)
         assert calls == [((1, sch.dim_code + 1, (t + 1) + sch.dim_code + 1), t + 1)]
+
+
+def test_p0_witness_matches_solve_array_on_the_explicit_system():
+    # the witness is read off the bookkeeping of the gathered dual stack;
+    # solve_array reduces the same system written out as a matrix
+    rng = np.random.default_rng(23)
+    for sch in (build_f13_scheme(), standard_scheme(find_hyperelliptic_curve(101), 0.5)):
+        p = sch.field.p
+        outcomes = set()
+        for t in range(sch.m - 2 * sch.genus, sch.m + 2):
+            for _ in range(15):
+                a_idx = np.sort(rng.choice(sch.n, size=t, replace=False))
+                a = np.vstack([sch.gen_matrix[:, a_idx + 1].T, sch.gen_matrix[:, 0]])
+                b = np.zeros(t + 1, dtype=np.int64)
+                b[t] = 1
+                try:
+                    want = field.solve_array(a, b, p)
+                except field.NoSolutionError:
+                    with pytest.raises(field.NoSolutionError):
+                        _p0_witness(sch, a_idx)
+                    outcomes.add(False)
+                else:
+                    got = _p0_witness(sch, a_idx)
+                    assert got.dtype == np.int64
+                    assert got.tolist() == want.tolist()
+                    outcomes.add(True)
+        assert outcomes == {True, False}
 
 
 def test_scheme_build_eliminates_the_evaluation_matrix_once(monkeypatch):
@@ -348,7 +379,7 @@ def test_kernel_oracle_matches_the_direct_row_space_test():
         for off in range(2 * sch.genus):
             for _ in range(60):
                 a_idx = np.sort(rng.choice(sch.n, size=sch.m - off, replace=False))
-                direct = not in_row_space(sch.player_rows[a_idx], sch.p0_row, p)
+                direct = not in_row_space(sch.gen_matrix[:, a_idx + 1].T, sch.gen_matrix[:, 0], p)
                 assert _decide_one(sch, a_idx, "kernel") == direct
                 verdicts.add(direct)
         assert verdicts == {True, False}
