@@ -181,10 +181,11 @@ def cmd_scheme(args) -> int:
     if args.subset is None:
         raise ValueError("qualify requires --subset")
     subset = _parse_subset(args.subset, scheme.n)
-    verdicts = {
-        "kernel": is_qualified_kernel(scheme, subset).qualified,
-        "dual": is_qualified_dual(scheme, subset).qualified,
-    }
+    kernel = is_qualified_kernel(scheme, subset).qualified
+    # a qualified kernel verdict comes with the dual system's solution as its
+    # witness (OracleDisagreementError if there is none), so only an
+    # unqualified one leaves the dual system to solve
+    verdicts = {"kernel": kernel, "dual": kernel or is_qualified_dual(scheme, subset).qualified}
     if isinstance(curve, EllipticCurve):
         verdicts["clx"] = is_qualified_clx(scheme, subset).qualified
     for name, q in verdicts.items():

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .field import PrimeField
-from .groups import AbelianGroup, ShanksLog, two_generator_table
+from .groups import AbelianGroup, ShanksLog, _multiple, two_generator_table
 
 
 class SingularCurveError(Exception):
@@ -233,13 +233,7 @@ class EllipticCurve(_PlaneModel):
         self._require(pt)
         if k < 0:
             k, pt = -k, self.neg(pt)
-        acc: Point = INFINITY
-        while k:
-            if k & 1:
-                acc = self._add_raw(acc, pt)
-            pt = self._add_raw(pt, pt)
-            k >>= 1
-        return acc
+        return _multiple(self._add_raw, INFINITY, k, pt)
 
     def _add_raw(self, p1: Point, p2: Point) -> Point:
         if is_infinity(p1):

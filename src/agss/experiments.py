@@ -107,6 +107,12 @@ class ProportionEstimate:
     ci_hi: float
     exact: bool
 
+    @classmethod
+    def from_count(cls, qualified: int, total: int) -> "ProportionEstimate":
+        """The exact proportion qualified / total, its interval that one point."""
+        p_hat = float(Fraction(qualified, total))
+        return cls(qualified, total, p_hat, p_hat, p_hat, True)
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -173,9 +179,7 @@ def _exact_estimates(group: AbelianGroup, p0: GroupElement, n: int, m: int, ts: 
     out = {}
     for t, (_, hit), count in zip(ts, rules, counts):
         total = math.comb(n, t)
-        qualified = count if hit else total - count
-        p_hat = float(Fraction(qualified, total))
-        out[t] = ProportionEstimate(qualified, total, p_hat, p_hat, p_hat, True)
+        out[t] = ProportionEstimate.from_count(count if hit else total - count, total)
     return out
 
 
@@ -492,8 +496,7 @@ def sweep_rows(config: ExperimentConfig) -> list[dict]:
             for t in ts:
                 if config.mode == "exhaustive":
                     ac = enumerate_access(scheme, t, config.oracle)
-                    p_hat = float(Fraction(ac.qualified, ac.total))
-                    estimates[t] = ProportionEstimate(ac.qualified, ac.total, p_hat, p_hat, p_hat, True)
+                    estimates[t] = ProportionEstimate.from_count(ac.qualified, ac.total)
                 else:
                     estimates[t] = mc_proportion(
                         scheme, t, config.samples, (config.seed, q, t),

@@ -9,15 +9,15 @@ All elimination runs through one loop, ``_eliminate``: column reduction of
 a whole stack of systems at once, with no row moves, in int32 when p is
 small enough, reducing mod p only as often as exactness requires.  Entries
 below a system's equations are bookkeeping carried along by every column
-operation.  Solvability (``solvable_stack``, and ``solvable_array`` and the
-row-space test as stacks of one) reads whether the right-hand side ends
-zero.  Rank, RREF, kernel and solve reduce one matrix with the identity as
-bookkeeping and read the pivot columns and each free column's combination
-off the result.  Every matrix routine is canonical: the RREF, its pivot
-columns, the kernel basis with a 1 at each free column and zeros at the
-others, and the solution with its free variables set to 0 are unique, so
-they do not depend on which pivot the loop picks, and identical inputs
-always produce bit-identical outputs.
+operation.  Solvability (``solvable_array`` and the row-space test) reduces
+[a | b] without bookkeeping and reads whether b ends zero.  Rank, RREF,
+kernel and solve reduce one matrix with the identity as bookkeeping and
+read the pivot columns and each free column's combination off the result.
+Every matrix routine is canonical: the RREF, its pivot columns, the kernel
+basis with a 1 at each free column and zeros at the others, and the
+solution with its free variables set to 0 are unique, so they do not
+depend on which pivot the loop picks, and identical inputs always produce
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -260,6 +260,15 @@ def kernel_array(a: np.ndarray, p: int) -> list[np.ndarray]:
     return list(_kernel_basis(a, p)[0])
 
 
+def _augmented(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a | b] for the system a x = b, with b's length checked."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64).reshape(-1)
+    if b.shape[0] != a.shape[0]:
+        raise ValueError(f"rhs length {b.shape[0]} != row count {a.shape[0]}")
+    return np.hstack([a, b[:, None]])
+
+
 def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """One solution of a x = b (free variables set to 0), or NoSolutionError.
 
@@ -267,44 +276,16 @@ def solve_array(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     pivot column, and then b's bookkeeping, 1 at b and minus x at the pivot
     columns of a, gives the solution.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64).reshape(-1)
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs length {b.shape[0]} != row count {a.shape[0]}")
-    is_pivot, book = _reduce(np.hstack([a, b[:, None]]), p)
+    is_pivot, book = _reduce(_augmented(a, b), p)
     if is_pivot[-1]:
         raise NoSolutionError("right-hand side is not in the column space")
     return (-book[-1, :-1] % p).astype(np.int64)
 
 
-def solvable_stack(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Whether a[k] x = b[k] has a solution, for each system k of a stack.
-
-    ``a`` is B x R x C and ``b`` is B x R (or broadcasts to it); returns
-    bool[B].  One column reduction of the whole stack: system k is solvable
-    iff its right-hand side, the last column, is not a pivot column.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    if a.ndim != 3:
-        raise ValueError(f"expected a B x R x C stack, got shape {a.shape}")
-    stacks, rows, cols = a.shape
-    b = np.asarray(b, dtype=np.int64)
-    if b.shape[-1:] != (rows,):
-        raise ValueError(f"rhs length {b.shape[-1:]} != row count {rows}")
-    m = np.empty((stacks, cols + 1, rows), dtype=stack_dtype(p))
-    m[:, :cols] = a.transpose(0, 2, 1) % p
-    m[:, cols] = b % p
-    _eliminate(m, p, rows)
-    return ~m[:, -1].any(axis=1)
-
-
 def solvable_array(a: np.ndarray, b: np.ndarray, p: int) -> bool:
-    """Whether a x = b has a solution: ``solvable_stack`` on a stack of one."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64).reshape(-1)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    return bool(solvable_stack(a[None], b[None], p)[0])
+    """Whether a x = b has a solution: b is not a pivot column of [a | b],
+    from one column reduction without bookkeeping."""
+    return not _reduce(_augmented(a, b), p, book=False)[0][-1]
 
 
 def in_row_space(a: np.ndarray, vec: np.ndarray, p: int) -> bool:
@@ -312,15 +293,16 @@ def in_row_space(a: np.ndarray, vec: np.ndarray, p: int) -> bool:
     return solvable_array(np.asarray(a).T, vec, p)
 
 
-def matvec_array(a: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """(a @ v) mod p, exact for any p below the field cap."""
-    a = np.asarray(a, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64) % p
-    if a.size == 0:
-        return np.zeros(a.shape[0], dtype=np.int64)
-    # int64 accumulation is safe only while cols * p^2 < 2^63
-    if a.shape[1] * p * p < 2**62:
-        return (a % p) @ v % p
-    acc = (a.astype(object) % p) @ v.astype(object) % p
-    return np.array([int(x) for x in acc], dtype=np.int64)
+def matvec_array(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """(a @ b) mod m for a matrix a and a vector or matrix b, both reduced
+    mod m first: the package's one exact mod-m product.
 
+    The product is taken in int64 while a.shape[-1] * (m - 1)^2 < 2^63, so
+    no entry's sum of products can leave it, and on Python ints above that.
+    Never in float64: numpy hands that to BLAS, whose buffers stay resident.
+    """
+    a = np.asarray(a, dtype=np.int64) % m
+    b = np.asarray(b, dtype=np.int64) % m
+    if a.shape[-1] * (m - 1) ** 2 < 2**63:
+        return a @ b % m
+    return (a.astype(object) @ b.astype(object) % m).astype(np.int64)

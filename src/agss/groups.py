@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import is_prime
+from .field import is_prime, matvec_array
 
 DP_BUDGET = 2**31
 SIEVE_MAX_T = 10
@@ -537,10 +537,9 @@ def cofinite_subset_sum_counts(
     entering = sorted(range(len(ts)), key=ts.__getitem__)
     live: list[list] = []  # [cell, b - jx, W] with j = t - k
     sums = [[0] * len(ts), [0] * len(ts)]  # per cell, the terms with k/d even and odd
-    # N F(k, c) mod N for a block of k: a product entry is below tau(e) N^2 in size
-    dtype = np.int64 if len(divisors) * size**2 < 2**63 else object
-    phi_mod = np.array([phi[c] for c in divisors], dtype=dtype).T % size
-    residues = np.zeros((min(top + 1, 1024), len(divisors)), dtype=dtype)
+    # N F(k, c) mod N for a block of k, as one product of residues by Phi
+    phis = np.array([phi[c] for c in divisors], dtype=np.int64).T
+    residues = np.zeros((min(top + 1, 1024), len(divisors)), dtype=np.int64)
     for k in range(top, -1, -1):
         for cell in live:
             cell[1] = v = group.add(cell[1], step)
@@ -570,7 +569,7 @@ def cofinite_subset_sum_counts(
             live.clear()  # H_j is empty for j >= 1
 
         if row == 0:  # the block holds k .. k + len - 1, rows past max t are zero
-            rem = residues @ phi_mod % size
+            rem = matvec_array(residues, phis, size)
             if rem.any():
                 r, c = np.argwhere(rem)[0]
                 raise ClosedFormError(

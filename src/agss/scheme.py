@@ -245,17 +245,8 @@ def check_layout(curve: Curve, p0: Point, players: Sequence[Point], m: int) -> N
 
 
 def _check_orthogonal(gen: np.ndarray, omega: np.ndarray, p: int) -> None:
-    """Raise ``CodeBasisError`` unless gen . omega^T = 0 (mod p).
-
-    The product is taken in int64, exact while every entry's sum of n + 1
-    products stays below 2^63, and on Python ints above that.  Not in
-    float64: numpy sends that to BLAS, whose buffers stay resident.
-    """
-    if gen.shape[1] * (p - 1) ** 2 < 2**63:
-        product = gen @ omega.T % p
-    else:
-        product = gen.astype(object) @ omega.T.astype(object) % p
-    if product.any():
+    """Raise ``CodeBasisError`` unless gen . omega^T = 0 (mod p)."""
+    if matvec_array(gen, omega.T, p).any():
         raise CodeBasisError("the share-code basis is not orthogonal to the generator matrix mod p")
 
 
@@ -391,7 +382,7 @@ def reconstruct(scheme: SchemeInstance, subset: Sequence[int], shares: Sequence)
         raise NotQualifiedError(f"subset {list(s_idx)} cannot reconstruct the secret") from None
     weights = matvec_array(scheme.gen_matrix[:, np.array(s_idx, dtype=np.int64) + 1].T, coeff, p)
     share_vals = np.array([_residue(scheme.field, v) for v in shares], dtype=np.int64)
-    total = int((weights * share_vals % p).sum() % p)
+    total = int(matvec_array(weights[None], share_vals, p)[0])
     return scheme.field.element(-total)
 
 

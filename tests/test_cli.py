@@ -105,6 +105,30 @@ def test_scheme_qualify_prints_three_verdicts(capsys):
     assert out.count("=Unqualified") == 3
 
 
+def test_scheme_qualify_eliminates_once_per_oracle(capsys, monkeypatch):
+    # a qualified kernel verdict carries the dual system's solution as its
+    # witness, so the dual system is not eliminated a second time
+    import agss.scheme
+
+    shapes = []
+    eliminate = agss.scheme._eliminate
+
+    def spy(m, p, rows):
+        shapes.append(m.shape)
+        return eliminate(m, p, rows)
+
+    monkeypatch.setattr(agss.scheme, "_eliminate", spy)
+    for players, verdict in [(range(1, 15), "Qualified"), (range(1, 4), "Unqualified")]:
+        shapes.clear()
+        code, out, _ = run(
+            capsys, "scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5",
+            "--action", "qualify", "--subset", ",".join(map(str, players)),
+        )
+        assert code == 0
+        assert out.splitlines() == [f"{name}={verdict}" for name in ("kernel", "dual", "clx")]
+        assert len(shapes) == 2
+
+
 def test_scheme_qualify_genus2_two_verdicts(capsys):
     code, out, _ = run(
         capsys, "scheme", "--curve", "hyp:p=11,f=1,0,0,0,0,1", "--delta", "0.5",
