@@ -21,7 +21,6 @@ import sys
 from .curves import (
     AffinePoint,
     BadDegreeError,
-    EllipticCurve,
     SingularCurveError,
     affine_points,
     format_curve_spec,
@@ -152,7 +151,7 @@ def cmd_curve_info(args) -> int:
     print(f"genus={curve.genus}")
     print(f"points={point_count(curve)}")
     print(f"hasse_ok={str(report.ok).lower()}")
-    if isinstance(curve, EllipticCurve):
+    if curve.genus == 1:
         factors = group_structure(curve).group.factors
         print("invariant_factors=" + ",".join(map(str, factors)))
         print("group=" + " x ".join(f"Z_{d}" for d in factors if d > 1))
@@ -186,7 +185,7 @@ def cmd_scheme(args) -> int:
     # witness (OracleDisagreementError if there is none), so only an
     # unqualified one leaves the dual system to solve
     verdicts = {"kernel": kernel, "dual": kernel or is_qualified_dual(scheme, subset).qualified}
-    if isinstance(curve, EllipticCurve):
+    if curve.genus == 1:
         verdicts["clx"] = is_qualified_clx(scheme, subset).qualified
     for name, q in verdicts.items():
         print(f"{name}={'Qualified' if q else 'Unqualified'}")

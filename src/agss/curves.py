@@ -1,15 +1,13 @@
-"""Plane curve models over prime fields with one smooth point at infinity.
+"""One curve model over prime fields with one smooth point at infinity.
 
-Two families:
-
-* short Weierstrass elliptic curves ``y^2 = x^3 + a x + b`` (genus 1), which
-  additionally carry the chord-tangent group law; ``group_structure``
-  presents their point group as an ``AbelianGroup`` on two generators read
-  off the first points in enumeration order
-  (``groups.two_generator_table``), and finds points' elements by one
-  baby-step giant-step sized to the number asked (``GroupTable.logs``);
-* odd-degree hyperelliptic curves ``y^2 = f(x)`` with ``deg f = 2g + 1``
-  (genus g >= 2), used purely through linear algebra downstream.
+``Curve`` is y^2 = f(x) with f squarefree of odd degree 2g + 1.  A cubic must
+be x^3 + a x + b, so ``ec:p,a,b`` and ``hyp:p,f=b,a,0,1`` build the same
+curve.  Only genus 1 carries the chord-tangent group law; ``group_structure``
+presents its point group as an ``AbelianGroup`` on two generators read off
+the first points in enumeration order (``groups.two_generator_table``), and
+finds points' elements by one baby-step giant-step sized to the number asked
+(``GroupTable.logs``).  At genus g >= 2 the group operations raise
+``WrongGenusError``; such curves are used purely through linear algebra.
 
 ``point_count`` counts the rational points with Euler's criterion in numpy,
 without listing them; ``iter_points`` streams them in (x, y) order and
@@ -38,7 +36,7 @@ class SingularCurveError(Exception):
 
 
 class BadDegreeError(Exception):
-    """Hyperelliptic input of even or too-small degree."""
+    """f of even or too-small degree, or a cubic other than x^3 + a x + b."""
 
 
 class PointNotOnCurveError(Exception):
@@ -165,19 +163,52 @@ def _poly_gcd(f, g, p):
     return f
 
 
-# --- curve models ------------------------------------------------------------
+# --- the curve model ---------------------------------------------------------
 #
 # Coefficients and coordinates are plain ints reduced into [0, p); the curve's
 # ``field`` only names p.
 
-class _PlaneModel:
-    """Point test shared by the models y^2 = rhs(x), with ``coefficients``
-    the coefficients of rhs, low degree first."""
+@dataclass(frozen=True)
+class Curve:
+    """y^2 = f(x) over F_p with f squarefree of odd degree 2g + 1, low degree
+    first.  A cubic must be x^3 + a x + b, so every genus-1 curve is a short
+    Weierstrass curve, and only genus 1 carries the chord-tangent law."""
+
+    field: PrimeField
+    f: tuple[int, ...]
+
+    def __post_init__(self):
+        p = self.field.p
+        f = tuple(operator.index(c) % p for c in self.f)
+        object.__setattr__(self, "f", f)
+        deg = len(f) - 1
+        if deg < 3 or deg % 2 == 0:
+            raise BadDegreeError(f"f must have odd degree >= 3, got degree {deg}")
+        if f[-1] == 0:
+            raise BadDegreeError("leading coefficient of f is zero")
+        if deg == 3 and f[2:] != (0, 1):
+            raise BadDegreeError(f"a cubic f must be x^3 + a x + b, got coefficients {list(f)}")
+        # for p >= 5 a cubic x^3 + a x + b is squarefree iff 4a^3 + 27b^2 != 0
+        if len(_poly_gcd(f, _poly_deriv(f, p), p)) != 1:
+            raise SingularCurveError(f"4a^3 + 27b^2 = 0 mod {p}" if deg == 3 else "f is not squarefree")
+
+    @property
+    def genus(self) -> int:
+        return (len(self.f) - 2) // 2
+
+    # a and b of x^3 + a x + b at genus 1
+    @property
+    def a(self) -> int:
+        return self.f[1]
+
+    @property
+    def b(self) -> int:
+        return self.f[0]
 
     def rhs(self, x: int) -> int:
         p = self.field.p
         acc = 0
-        for c in reversed(self.coefficients):
+        for c in reversed(self.f):
             acc = (acc * x + c) % p
         return acc
 
@@ -191,51 +222,33 @@ class _PlaneModel:
         if not self.contains(pt):
             raise PointNotOnCurveError(f"{pt!r} is not on {format_curve_spec(self)}")
 
+    # group law (genus 1) ---------------------------------------------------
 
-@dataclass(frozen=True)
-class EllipticCurve(_PlaneModel):
-    """y^2 = x^3 + a x + b over F_p, nonsingular (4a^3 + 27b^2 != 0)."""
-
-    field: PrimeField
-    a: int
-    b: int
-
-    def __post_init__(self):
-        p = self.field.p
-        a, b = operator.index(self.a) % p, operator.index(self.b) % p
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        if (4 * pow(a, 3, p) + 27 * b * b) % p == 0:
-            raise SingularCurveError(f"4a^3 + 27b^2 = 0 mod {p}")
-
-    @property
-    def genus(self) -> int:
-        return 1
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return (self.b, self.a, 0, 1)
-
-    # group law -------------------------------------------------------------
+    def _require_group(self, *pts: Point):
+        """``WrongGenusError`` unless the genus is 1, then ``_require`` on each point."""
+        if self.genus != 1:
+            raise WrongGenusError(f"the point group exists only at genus 1, not on {format_curve_spec(self)}")
+        for pt in pts:
+            self._require(pt)
 
     def neg(self, pt: Point) -> Point:
-        self._require(pt)
+        self._require_group(pt)
         if is_infinity(pt):
             return INFINITY
         return AffinePoint(pt.x, -pt.y % self.field.p)
 
     def add(self, p1: Point, p2: Point) -> Point:
-        self._require(p1)
-        self._require(p2)
+        self._require_group(p1, p2)
         return self._add_raw(p1, p2)
 
     def scalar_mul(self, k: int, pt: Point) -> Point:
-        self._require(pt)
+        self._require_group(pt)
         if k < 0:
             k, pt = -k, self.neg(pt)
         return _multiple(self._add_raw, INFINITY, k, pt)
 
     def _add_raw(self, p1: Point, p2: Point) -> Point:
+        """The chord-tangent sum of two points of a genus-1 curve, unchecked."""
         if is_infinity(p1):
             return p2
         if is_infinity(p2):
@@ -254,43 +267,13 @@ class EllipticCurve(_PlaneModel):
         return AffinePoint(x3, y3)
 
 
-@dataclass(frozen=True)
-class HyperellipticCurve(_PlaneModel):
-    """y^2 = f(x) with f squarefree of odd degree 2g + 1 >= 5; f low degree first."""
-
-    field: PrimeField
-    f: tuple[int, ...]
-
-    def __post_init__(self):
-        p = self.field.p
-        coeffs = tuple(operator.index(c) % p for c in self.f)
-        object.__setattr__(self, "f", coeffs)
-        deg = len(coeffs) - 1
-        if deg < 3 or deg % 2 == 0:
-            raise BadDegreeError(f"f must have odd degree >= 3, got degree {deg}")
-        if coeffs[-1] == 0:
-            raise BadDegreeError("leading coefficient of f is zero")
-        if len(_poly_gcd(coeffs, _poly_deriv(coeffs, p), p)) != 1:
-            raise SingularCurveError("f is not squarefree")
-
-    @property
-    def genus(self) -> int:
-        return (len(self.f) - 2) // 2
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return self.f
+def elliptic_curve(p: int, a: int, b: int) -> Curve:
+    return Curve(PrimeField(p), (b, a, 0, 1))
 
 
-Curve = Union[EllipticCurve, HyperellipticCurve]
-
-
-def elliptic_curve(p: int, a: int, b: int) -> EllipticCurve:
-    return EllipticCurve(PrimeField(p), a, b)
-
-
-def hyperelliptic_curve(p: int, coeffs: Iterable[int]) -> HyperellipticCurve:
-    return HyperellipticCurve(PrimeField(p), tuple(coeffs))
+def hyperelliptic_curve(p: int, coeffs: Iterable[int]) -> Curve:
+    """y^2 = f(x) over F_p, f's coefficients low degree first."""
+    return Curve(PrimeField(p), tuple(coeffs))
 
 
 # x values per block of ``point_count``: a few int64 arrays of this length
@@ -311,7 +294,7 @@ def point_count(curve: Curve) -> int:
     for start in range(0, p, _COUNT_BLOCK):
         x = np.arange(start, min(start + _COUNT_BLOCK, p), dtype=np.int64)
         f = np.zeros_like(x)
-        for c in reversed(curve.coefficients):
+        for c in reversed(curve.f):
             f = (f * x + c) % p
         chi = np.ones_like(x)
         e = (p - 1) // 2
@@ -364,7 +347,7 @@ class GroupTable:
     of all points.
     """
 
-    curve: EllipticCurve
+    curve: Curve
     group: AbelianGroup
     g1: Point
     g2: Point
@@ -392,7 +375,7 @@ class GroupTable:
 
 
 @functools.lru_cache(maxsize=None)
-def group_structure(curve: EllipticCurve) -> GroupTable:
+def group_structure(curve: Curve) -> GroupTable:
     """The point group as Z_d1 x Z_d2 (d1 | d2) on two generators.
 
     ``groups.two_generator_table`` on the stream ``iter_points`` with the
@@ -402,8 +385,7 @@ def group_structure(curve: EllipticCurve) -> GroupTable:
     group takes the identity as g1.  A curve of genus >= 2 raises
     ``WrongGenusError``: its points form no group.
     """
-    if not isinstance(curve, EllipticCurve):
-        raise WrongGenusError(f"the point group exists only for an elliptic curve, not {format_curve_spec(curve)}")
+    curve._require_group()
     group, g1, g2 = two_generator_table(point_count(curve), iter_points(curve), curve._add_raw, INFINITY)
     return GroupTable(curve, group, g1, g2)
 
@@ -520,7 +502,8 @@ def parse_curve_spec(spec: str) -> Curve:
 
 
 def format_curve_spec(curve: Curve) -> str:
-    if isinstance(curve, EllipticCurve):
+    """``ec:`` at genus 1, else ``hyp:``; ``parse_curve_spec`` reads either back."""
+    if curve.genus == 1:
         return f"ec:p={curve.field.p},a={curve.a},b={curve.b}"
     coeffs = ",".join(map(str, curve.f))
     return f"hyp:p={curve.field.p},f={coeffs}"

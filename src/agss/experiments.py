@@ -35,10 +35,7 @@ import numpy as np
 
 from . import __version__
 from .curves import (
-    BadDegreeError,
     Curve,
-    EllipticCurve,
-    HyperellipticCurve,
     Point,
     SingularCurveError,
     affine_points,
@@ -365,14 +362,14 @@ def curve_char_sum(table, chi: Character, points) -> complex:
 
 # --- deterministic experiment setup ---------------------------------------------
 
-def find_elliptic_curve(q: int) -> EllipticCurve:
+def find_elliptic_curve(q: int) -> Curve:
     """First b >= 1 making y^2 = x^3 + x + b nonsingular over F_q."""
     # an invalid q falls through to b = 1, so elliptic_curve rejects it loudly
     b = next((b for b in range(1, q) if (4 + 27 * b * b) % q), 1)
     return elliptic_curve(q, 1, b)
 
 
-def find_hyperelliptic_curve(q: int, genus: int = 2) -> HyperellipticCurve:
+def find_hyperelliptic_curve(q: int, genus: int = 2) -> Curve:
     """First a >= 1 making y^2 = x^(2g+1) + x + a squarefree over F_q."""
     deg = 2 * genus + 1
     # an invalid q still gets one candidate, so hyperelliptic_curve rejects it loudly
@@ -380,9 +377,9 @@ def find_hyperelliptic_curve(q: int, genus: int = 2) -> HyperellipticCurve:
         coeffs = [a, 1] + [0] * (deg - 2) + [1]
         try:
             return hyperelliptic_curve(q, coeffs)
-        except (SingularCurveError, BadDegreeError):
+        except SingularCurveError:
             continue
-    raise RuntimeError(f"no squarefree curve of the search form over F_{q}")
+    raise SingularCurveError(f"no x^{deg} + x + a is squarefree over F_{q}")
 
 
 def _round_half_down(x: float) -> int:

@@ -96,10 +96,10 @@ class OracleDisagreementError(Exception):
 
 
 class CodeBasisError(ArithmeticError):
-    """The share-code basis is not orthogonal to the generator matrix mod p.
-
-    ``omega_matrix`` is computed as the nullspace of ``gen_matrix``, so this
-    signals an implementation bug.
+    """The code bases are inconsistent mod p: the generator matrix lost rank,
+    or the share-code basis is not orthogonal to it.  Either is an
+    implementation bug: ``check_degree``'s m <= n - 1 gives the evaluation
+    map full rank, and ``omega_matrix`` is the nullspace of ``gen_matrix``.
     """
 
 
@@ -264,7 +264,7 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
     omega, pivots = _kernel_basis(gen, p)
     # nullity = (n + 1) - rank, so full row rank is exactly this kernel size
     if omega.shape[0] != gen.shape[1] - len(basis):
-        raise RuntimeError("evaluation matrix lost rank; invalid configuration")
+        raise CodeBasisError("the evaluation matrix lost rank mod p")
     if not omega[:, 0].any():
         raise SecretPositionDegenerateError("every share-code word vanishes at position 0")
     _check_orthogonal(gen, omega, p)

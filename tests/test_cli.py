@@ -292,6 +292,10 @@ FAILURES = [
     pytest.param(["scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5", "--action", "share"], 2, id="share-without-seed"),
     pytest.param(["scheme", "--curve", "ec:p=13,a=0,b=0", "--m", "5", "--action", "qualify", "--subset", "1"], 3,
                  id="scheme-singular-curve"),
+    pytest.param(["curve-info", "--curve", "hyp:p=13,f=1,1,1,1"], 3, id="curve-info-cubic-with-x2-term"),
+    # no x^9 + x + a is squarefree over F_5
+    pytest.param(["experiment", "--config", "{tmp}/q5-genus4.ini", "--out", "{tmp}/x.csv"], 3,
+                 id="experiment-no-search-curve"),
     pytest.param(["experiment", "--config", "{root}/configs/theorem3.ini", "--out", "{tmp}/missing/x.csv"], 2,
                  id="experiment-unwritable-out"),
     pytest.param(["experiment", "--config", "{tmp}/no-section.ini", "--out", "{tmp}/x.csv"], 2,
@@ -311,6 +315,7 @@ FAILURES = [
 @pytest.mark.parametrize("argv, code", FAILURES)
 def test_failures_exit_with_one_error_line(capsys, tmp_path, argv, code):
     (tmp_path / "no-section.ini").write_text("q = 13\nseed = 1\n")
+    (tmp_path / "q5-genus4.ini").write_text("[experiment]\nq = 5\ngenus = 4\nmode = montecarlo\nseed = 1\n")
     got, out, err = run(capsys, *(a.format(root=ROOT, tmp=tmp_path) for a in argv))
     assert got == code
     assert out == ""

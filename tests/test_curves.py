@@ -213,6 +213,27 @@ def test_logs_match_one_log_per_point(curve):
 def test_group_structure_needs_genus_one():
     with pytest.raises(WrongGenusError):
         group_structure(hyperelliptic_curve(19, [1, 0, 0, 0, 0, 1]))
+    # so does the group law, with its points on the curve
+    h = parse_curve_spec("hyp:p=11,f=1,0,0,0,0,1")
+    pt = affine_points(h)[0]
+    for op in (lambda: h.neg(pt), lambda: h.add(pt, pt), lambda: h.scalar_mul(2, pt)):
+        with pytest.raises(WrongGenusError):
+            op()
+
+
+def test_a_cubic_is_the_elliptic_curve():
+    e = elliptic_curve(13, 1, 1)
+    h = hyperelliptic_curve(13, [1, 1, 0, 1])
+    assert h == e and hash(h) == hash(e)
+    assert parse_curve_spec("hyp:p=13,f=1,1,0,1") == e
+    assert format_curve_spec(h) == format_curve_spec(e) == "ec:p=13,a=1,b=1"
+    assert (h.genus, h.a, h.b) == (1, 1, 1)
+    assert group_structure(h) is group_structure(e)
+    for other in ([1, 1, 1, 1], [1, 1, 0, 2]):  # an x^2 term, a non-monic cubic
+        with pytest.raises(BadDegreeError):
+            hyperelliptic_curve(13, other)
+    with pytest.raises(SingularCurveError, match=r"4a\^3 \+ 27b\^2"):
+        hyperelliptic_curve(5, [0, 0, 0, 1])
 
 
 def test_group_structure_prime_order_is_cyclic():

@@ -323,6 +323,24 @@ def test_scheme_build_rejects_a_share_code_basis_off_the_nullspace(monkeypatch):
         scheme_build(curve, pts[0], pts[1:], 5)
 
 
+def test_scheme_build_rejects_a_generator_matrix_that_lost_rank(monkeypatch):
+    # m <= n - 1 gives the evaluation map full rank, so a repeated row is a bug
+    import agss.scheme
+
+    basis_values = agss.scheme.basis_values
+
+    def repeated(curve, basis, points):
+        values = basis_values(curve, basis, points)
+        values[-1] = values[0]
+        return values
+
+    curve = elliptic_curve(13, 1, 1)
+    pts = affine_points(curve)
+    monkeypatch.setattr(agss.scheme, "basis_values", repeated)
+    with pytest.raises(CodeBasisError, match="lost rank"):
+        scheme_build(curve, pts[0], pts[1:], 5)
+
+
 def test_orthogonality_check_is_exact_past_int64():
     # (p - 1)(3 (p - 1) + 3) = 0 mod p, but 3 (p - 1)^2 overflows int64
     p = 2**31 - 1
