@@ -4,11 +4,14 @@ Subcommands: curve-info, scheme, count, bound, experiment.  Every
 subcommand is a thin adapter over the library; stdout and output files
 carry data, stderr carries diagnostics.
 
-Exit codes: 0 success, 2 parse/config error, 3 singular or malformed
-curve, 4 reconstruction from an unqualified subset, 5 oracle disagreement
-(internal bug signal), 6 declared DP/sample budget exceeded.  Commands
-raise; ``main`` assigns every code from one table, prints one ``error:``
-line and lets any other exception propagate.
+Exit codes: 0 success; 2 bad input: any ``ValueError`` (every agss error
+reporting a bad argument or configuration is one), an unusable file or a
+malformed INI file; 3 singular or malformed curve; 4 reconstruction from an
+unqualified subset; 5 oracle disagreement (internal bug signal); 6 declared
+DP or enumeration budget exceeded.  Commands raise; ``main`` assigns every
+code from one table, one row per failure family, prints one ``error:`` line
+and lets any other exception propagate with its traceback, such as the
+``ArithmeticError`` bug signals ``CodeBasisError`` and ``ClosedFormError``.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from .experiments import (
     MODES,
     PRNG_NAME,
     ExperimentConfig,
-    RegimeMismatchError,
-    UnsupportedOffsetError,
     _round_half_down,
     bound_theorem3,
     bound_theorem4,
@@ -45,17 +46,13 @@ from .experiments import (
 )
 from .groups import (
     BudgetExceededError,
-    InstanceTooLargeError,
     li_wan_bound_check,
     parse_group_spec,
 )
 from .scheme import (
     ORACLE_NAMES,
-    DegreeOutOfRangeError,
-    DuplicatePointError,
     NotQualifiedError,
     OracleDisagreementError,
-    WrongGenusError,
     ShareVector,
     is_qualified_clx,
     is_qualified_dual,
@@ -72,7 +69,7 @@ EXIT_NOT_QUALIFIED = 4
 EXIT_DISAGREEMENT = 5
 EXIT_BUDGET = 6
 
-# exit code per failure class: main looks up the most specific listed class
+# exit code per failure family: main looks up the most specific listed class
 # of what a command raises; anything unlisted is a bug and keeps its traceback
 _EXIT_CODES = {
     SingularCurveError: EXIT_CURVE,
@@ -80,15 +77,9 @@ _EXIT_CODES = {
     NotQualifiedError: EXIT_NOT_QUALIFIED,
     OracleDisagreementError: EXIT_DISAGREEMENT,
     BudgetExceededError: EXIT_BUDGET,
-    InstanceTooLargeError: EXIT_BUDGET,
     ValueError: EXIT_PARSE,
     OSError: EXIT_PARSE,
     configparser.Error: EXIT_PARSE,
-    DegreeOutOfRangeError: EXIT_PARSE,
-    DuplicatePointError: EXIT_PARSE,
-    WrongGenusError: EXIT_PARSE,
-    UnsupportedOffsetError: EXIT_PARSE,
-    RegimeMismatchError: EXIT_PARSE,
 }
 
 

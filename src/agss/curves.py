@@ -31,6 +31,7 @@ from .field import PrimeField
 from .groups import AbelianGroup, ShanksLog, _multiple, two_generator_table
 
 
+# the next two are not ValueErrors: they exit 3, and parse_curve_spec rewraps ValueErrors
 class SingularCurveError(Exception):
     """The supplied coefficients describe a singular curve."""
 
@@ -39,15 +40,15 @@ class BadDegreeError(Exception):
     """f of even or too-small degree, or a cubic other than x^3 + a x + b."""
 
 
-class PointNotOnCurveError(Exception):
+class PointNotOnCurveError(ValueError):
     """A point fails the curve equation."""
 
 
-class EvalAtInfinityError(Exception):
+class EvalAtInfinityError(ValueError):
     """Function evaluation requested at the point at infinity."""
 
 
-class WrongGenusError(Exception):
+class WrongGenusError(ValueError):
     """A genus-1-only operation was called on another curve."""
 
 

@@ -39,7 +39,6 @@ from .curves import (
     Point,
     SingularCurveError,
     affine_points,
-    elliptic_curve,
     enumerate_points,  # unused here, but bench/probes.py wraps agss.experiments.enumerate_points
     format_curve_spec,
     group_structure,
@@ -85,11 +84,11 @@ CSV_HEADER = [
 MODES = ("exact", "exhaustive", "montecarlo")
 
 
-class UnsupportedOffsetError(Exception):
+class UnsupportedOffsetError(ValueError):
     """Exact elliptic proportions exist only for t in {m-1, m}."""
 
 
-class RegimeMismatchError(Exception):
+class RegimeMismatchError(ValueError):
     """The genus >= 2 bound applies only in the regime 0 <= m - t < g."""
 
 
@@ -362,13 +361,6 @@ def curve_char_sum(table, chi: Character, points) -> complex:
 
 # --- deterministic experiment setup ---------------------------------------------
 
-def find_elliptic_curve(q: int) -> Curve:
-    """First b >= 1 making y^2 = x^3 + x + b nonsingular over F_q."""
-    # an invalid q falls through to b = 1, so elliptic_curve rejects it loudly
-    b = next((b for b in range(1, q) if (4 + 27 * b * b) % q), 1)
-    return elliptic_curve(q, 1, b)
-
-
 def find_hyperelliptic_curve(q: int, genus: int = 2) -> Curve:
     """First a >= 1 making y^2 = x^(2g+1) + x + a squarefree over F_q."""
     deg = 2 * genus + 1
@@ -380,6 +372,12 @@ def find_hyperelliptic_curve(q: int, genus: int = 2) -> Curve:
         except SingularCurveError:
             continue
     raise SingularCurveError(f"no x^{deg} + x + a is squarefree over F_{q}")
+
+
+def find_elliptic_curve(q: int) -> Curve:
+    """``find_hyperelliptic_curve(q, 1)``: the first a >= 1 with
+    4 + 27a^2 != 0 mod q gives the curve y^2 = x^3 + x + a."""
+    return find_hyperelliptic_curve(q, 1)
 
 
 def _round_half_down(x: float) -> int:
@@ -455,8 +453,6 @@ class ExperimentConfig:
 def _config_curves(config: ExperimentConfig) -> list[Curve]:
     if config.curves:
         return [parse_curve_spec(s) for s in config.curves]
-    if config.genus == 1:
-        return [find_elliptic_curve(q) for q in config.q_values]
     return [find_hyperelliptic_curve(q, config.genus) for q in config.q_values]
 
 

@@ -32,7 +32,7 @@ MAX_FIELD_SIZE = 2**31
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class FieldMismatchError(Exception):
+class FieldMismatchError(ValueError):
     """A value belongs to a different prime field."""
 
 

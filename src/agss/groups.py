@@ -47,20 +47,21 @@ class TrivialGroupError(ValueError):
     """Amplitude is undefined on the one-element group."""
 
 
-class TrivialCharacterError(Exception):
+class TrivialCharacterError(ValueError):
     """A nontrivial character was required."""
 
 
-class InvalidCycleTypeError(Exception):
+class InvalidCycleTypeError(ValueError):
     """Cycle counts do not add up to a permutation of the stated size."""
 
 
-class InstanceTooLargeError(Exception):
-    """Exhaustive enumeration was requested beyond the declared size limits."""
-
-
 class BudgetExceededError(Exception):
-    """The dynamic-programming budget n*t*N <= 2^31 would be exceeded."""
+    """A declared budget would be exceeded: the dynamic program's
+    n*t*N <= 2^31, or an enumeration limit (``InstanceTooLargeError``)."""
+
+
+class InstanceTooLargeError(BudgetExceededError):
+    """Exhaustive enumeration was requested beyond the declared size limits."""
 
 
 class UnsupportedExclusionError(ValueError):
@@ -432,7 +433,6 @@ def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int
 
     bound = math.comb(n, min(t, n // 2))  # the largest count in rows 0..t
     moduli = _moduli(bound)
-    assert math.prod(moduli) > bound
 
     idx = np.arange(size, dtype=np.int64)
     strides = np.array(group._strides, dtype=np.int64)

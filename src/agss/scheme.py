@@ -39,7 +39,6 @@ from .curves import (
     Curve,
     MonomialBasis,
     Point,
-    WrongGenusError,  # raised by group_structure, imported from here by cli.py
     basis_values,
     eval_basis,  # unused here, but bench/probes.py wraps agss.scheme.eval_basis
     group_structure,
@@ -75,16 +74,12 @@ DECIDE_BYTES = 320 * 1024
 ENUMERATION_CHUNK = 1024
 
 
-class DuplicatePointError(Exception):
+class DuplicatePointError(ValueError):
     """Scheme points are not pairwise distinct (or collide with infinity)."""
 
 
-class DegreeOutOfRangeError(Exception):
+class DegreeOutOfRangeError(ValueError):
     """The degree bound m violates 2g - 2 < m <= n - 1."""
-
-
-class SecretPositionDegenerateError(Exception):
-    """Every share-code word vanishes at the secret position."""
 
 
 class NotQualifiedError(Exception):
@@ -97,9 +92,10 @@ class OracleDisagreementError(Exception):
 
 class CodeBasisError(ArithmeticError):
     """The code bases are inconsistent mod p: the generator matrix lost rank,
-    or the share-code basis is not orthogonal to it.  Either is an
-    implementation bug: ``check_degree``'s m <= n - 1 gives the evaluation
-    map full rank, and ``omega_matrix`` is the nullspace of ``gen_matrix``.
+    or the share-code basis is zero at P0 or not orthogonal to it.  Each is a
+    bug: ``check_degree``'s m <= n - 1 gives the evaluation map full rank on
+    the players alone, so some share-code word is nonzero at P0, and
+    ``omega_matrix`` is the nullspace of ``gen_matrix``.
     """
 
 
@@ -266,7 +262,7 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
     if omega.shape[0] != gen.shape[1] - len(basis):
         raise CodeBasisError("the evaluation matrix lost rank mod p")
     if not omega[:, 0].any():
-        raise SecretPositionDegenerateError("every share-code word vanishes at position 0")
+        raise CodeBasisError("every share-code word vanishes at position 0")
     _check_orthogonal(gen, omega, p)
 
     gen.flags.writeable = False

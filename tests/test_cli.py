@@ -339,6 +339,54 @@ def test_unexpected_errors_propagate(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_every_agss_error_class_has_one_exit_policy():
+    # bad input is a ValueError (exit 2); a failure with its own exit code
+    # reaches it through the row of its class or a base class; an
+    # ArithmeticError is a bug signal with no row, so it keeps its traceback;
+    # NoSolutionError never leaves agss.scheme
+    import inspect
+
+    from agss import curves, experiments, field, groups, scheme
+    from agss.cli import _EXIT_CODES
+
+    classes = {
+        cls for module in (field, curves, groups, scheme, experiments) for cls in vars(module).values()
+        if inspect.isclass(cls) and issubclass(cls, Exception) and cls.__module__ == module.__name__
+    }
+    assert {field.NoSolutionError, curves.WrongGenusError, scheme.CodeBasisError} <= classes
+    for cls in classes:
+        code = next((_EXIT_CODES[c] for c in cls.__mro__ if c in _EXIT_CODES), None)
+        if issubclass(cls, ArithmeticError):
+            assert code is None, cls
+        elif issubclass(cls, ValueError):
+            assert code == 2, cls
+        elif cls is not field.NoSolutionError:
+            assert code in (3, 4, 5, 6), cls
+
+
+def test_zero_secret_column_is_a_bug_signal_that_keeps_its_traceback(monkeypatch):
+    # check_degree's m <= n - 1 leaves some share-code word nonzero at P0, so
+    # a share-code basis that vanishes there is a library bug, not bad input
+    import agss.scheme
+    from agss.curves import affine_points
+    from agss.scheme import CodeBasisError, scheme_build
+
+    kernel_basis = agss.scheme._kernel_basis
+
+    def zero_column_0(a, p):
+        omega, pivots = kernel_basis(a, p)
+        omega[:, 0] = 0
+        return omega, pivots
+
+    monkeypatch.setattr(agss.scheme, "_kernel_basis", zero_column_0)
+    curve = elliptic_curve(13, 1, 1)
+    pts = affine_points(curve)
+    with pytest.raises(CodeBasisError, match="position 0"):
+        scheme_build(curve, pts[0], pts[1:], 5)
+    with pytest.raises(CodeBasisError, match="position 0"):
+        main(["scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5", "--action", "qualify", "--subset", "1,2"])
+
+
 def test_experiment_writes_counts_past_the_int_digit_limit(capsys, tmp_path, monkeypatch):
     # exact counts pass Python's 4300-digit int-to-str limit from q ~ 14 300
     import agss.cli

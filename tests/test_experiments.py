@@ -9,6 +9,7 @@ from agss import scheme as scheme_module
 
 from agss.curves import (
     GroupTable,
+    WrongGenusError,
     affine_points,
     elliptic_curve,
     enumerate_points,
@@ -28,7 +29,6 @@ from agss.groups import (
 from agss.scheme import (
     DECIDE_BYTES,
     DegreeOutOfRangeError,
-    WrongGenusError,
     _decide,
     _decide_one,
     enumerate_access,
@@ -408,6 +408,15 @@ def test_find_curves_deterministic():
     assert h.genus == 2
     assert list(h.f)[:2] == [1, 1]  # constant term found by search
     assert find_elliptic_curve(101) == e
+
+
+def test_find_elliptic_curve_is_the_genus_1_search():
+    # y^2 = x^3 + x + b for the first b >= 1 with 4 + 27 b^2 != 0 mod q; at
+    # q = 31 that is b = 2, since 4 + 27 = 31
+    for q in filter(field_module.is_prime, range(5, 1000)):
+        b = next(b for b in range(1, q) if (4 + 27 * b * b) % q)
+        assert find_elliptic_curve(q) == find_hyperelliptic_curve(q, 1) == elliptic_curve(q, 1, b)
+    assert find_elliptic_curve(31).b == 2
 
 
 def test_find_curves_reject_a_composite_field_size():

@@ -13,6 +13,7 @@ from agss.curves import (
     AffinePoint,
     PointNotOnCurveError,
     SingularCurveError,
+    WrongGenusError,
     affine_points,
     elliptic_curve,
     eval_basis,
@@ -31,7 +32,6 @@ from agss.scheme import (
     ENUMERATION_CHUNK,
     NotQualifiedError,
     PrivacyVerdict,
-    WrongGenusError,
     _check_orthogonal,
     _decide,
     _decide_one,
@@ -523,6 +523,29 @@ def test_clx_wrong_genus():
     sch = build_genus2_scheme()
     with pytest.raises(WrongGenusError):
         is_qualified_clx(sch, [0, 1, 2])
+
+
+@pytest.mark.parametrize("curve", [
+    elliptic_curve(13, 1, 1),
+    elliptic_curve(101, 1, 1),
+    hyperelliptic_curve(19, [1, 0, 0, 0, 0, 1]),
+    find_hyperelliptic_curve(101),
+], ids=["E13", "E101", "hyp19", "hyp101"])
+def test_privacy_check_is_the_dual_verdict(curve):
+    # privacy_check is the dual oracle's verdict read as privacy: on random
+    # subsets whose complements straddle the gray zone m - 2g < t <= m
+    sch = standard_scheme(curve, 0.5)
+    g, n, m = sch.genus, sch.n, sch.m
+    rng = np.random.default_rng(1)
+    seen = set()
+    for _ in range(200):
+        t = int(rng.integers(m - 2 * g - 1, m + 2))
+        a_idx = set(rng.choice(n, size=t, replace=False).tolist())
+        s = [i for i in range(n) if i not in a_idx]
+        qualified = is_qualified_dual(sch, s).qualified
+        assert (privacy_check(sch, s) is PrivacyVerdict.DETERMINES_SECRET) == qualified
+        seen.add(qualified)
+    assert seen == {True, False}
 
 
 def test_privacy_matches_qualification_exhaustively():
