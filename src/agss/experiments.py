@@ -58,7 +58,6 @@ from .groups import (
     cofinite_amplitude,
     cofinite_subset_sum_counts,
     li_wan_m,
-    log_generalized_binomial,
     subset_sum_table,  # unused here, but bench/probes.py wraps agss.experiments.subset_sum_table
 )
 from .scheme import (
@@ -89,7 +88,7 @@ class UnsupportedOffsetError(ValueError):
 
 
 class RegimeMismatchError(ValueError):
-    """The genus >= 2 bound applies only in the regime 0 <= m - t < g."""
+    """The genus-g bound applies only inside the gray zone 0 <= m - t < 2g."""
 
 
 @dataclass(frozen=True)
@@ -112,17 +111,13 @@ class ProportionEstimate:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Evaluated theoretical bound; genus >= 2 reports carry extra context."""
+    """Evaluated theoretical bound: main_term + error_term = total."""
 
     phi: float
     m_value: float
     main_term: float
     error_term: float
     total: float
-    group_order: Optional[int] = None
-    h_window: Optional[tuple[float, float]] = None
-    w_bound: Optional[float] = None
-    star_product: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -267,6 +262,22 @@ def mc_proportion(
 
 # --- theoretical bounds -------------------------------------------------------
 
+def _li_wan_ratio(n: int, t: int, phi: float) -> tuple[float, float]:
+    """(M, C(M, t)/C(n, t)) for amplitude ``phi``: the ratio is the product
+    of (M - i)/(n - i) over i < t, summed in log space, and 0 once a factor
+    M - i vanishes; t = 0 gives (0, 1)."""
+    if not t:
+        return 0.0, 1.0
+    m_value = li_wan_m(n, t, phi)
+    log_ratio = 0.0
+    for i in range(t):
+        num = m_value - i
+        if num <= 0:
+            return m_value, 0.0
+        log_ratio += math.log(num) - math.log(n - i)
+    return m_value, math.exp(log_ratio)
+
+
 def bound_theorem3(n: int, t: int, group_order: int, phi: float) -> BoundReport:
     """1/N + C(M, t)/C(n, t), the genus-1 bound on the t = m proportion."""
     if not 0 <= t <= n:
@@ -276,65 +287,36 @@ def bound_theorem3(n: int, t: int, group_order: int, phi: float) -> BoundReport:
     if group_order < 1:
         raise ValueError(f"group order must be >= 1, got {group_order}")
     main = 1.0 / group_order
-    if t == 0:
-        return BoundReport(phi, 0.0, main, 1.0, main + 1.0, group_order=group_order)
-    m_value = li_wan_m(n, t, phi)
-    log_err = log_generalized_binomial(m_value, t) - log_generalized_binomial(float(n), t)
-    err = math.exp(log_err)
-    return BoundReport(phi, m_value, main, err, main + err, group_order=group_order)
+    m_value, err = _li_wan_ratio(n, t, phi)
+    return BoundReport(phi, m_value, main, err, main + err)
 
 
-def _star_bound(q: int, g: int, n: int, t: int, c: int, d: int) -> BoundReport:
-    """The genus >= 2 bound at divisor degree d.
+def bound_theorem4(q: int, genus: int, n: int, t: int, m: int, c: int) -> BoundReport:
+    """The genus-g bound across the gray zone 0 <= d = m - t < 2g.
 
-    The amplitude is estimated by the Weil value (2g - 2) sqrt(q) + c, where
-    c is the number of rational points left out of the player set.
+    Below g it bounds the qualified proportion and is evaluated at degree d;
+    from g on it bounds the *unqualified* proportion and is evaluated at the
+    residual degree 2g - 1 - d.  The amplitude is estimated by the Weil value
+    (2g - 2) sqrt(q) + c, where c is the number of rational points left out
+    of the player set.
     """
+    d = m - t
+    if not 0 <= d < 2 * genus:
+        raise RegimeMismatchError(f"need 0 <= m - t < 2g, got m-t={d}, g={genus}")
+    if d >= genus:
+        d = 2 * genus - 1 - d
     if q < 2:
         raise ValueError(f"field size must be >= 2, got {q}")
     if not 0 <= t <= n:
         raise ValueError(f"subset size t={t} out of range 0..{n}")
     sq = math.sqrt(q)
-    phi = (2 * g - 2) * sq + c
-    factor = 2 * g * sq / (sq - 1) - q / (q - 1)
-    scale = q ** (-(g - d))
+    phi = (2 * genus - 2) * sq + c
+    factor = 2 * genus * sq / (sq - 1) - q / (q - 1)
+    scale = q ** (-(genus - d))
     lead = scale * factor
-    m_value = li_wan_m(n, t, min(phi, float(n))) if t else 0.0
-    log_star = 0.0
-    star = 1.0
-    for i in range(t):
-        num = m_value - i
-        if num <= 0:
-            star = 0.0
-            break
-        log_star += math.log(num) - math.log(n - i)
-    else:
-        star = math.exp(log_star)
-    tail = (sq + 1) ** (2 * g) * scale * factor * star
-    h_window = ((sq - 1) ** (2 * g), (sq + 1) ** (2 * g))
-    w_bound = h_window[1] * scale * factor
-    return BoundReport(
-        phi, m_value, lead, tail, lead + tail,
-        h_window=h_window, w_bound=w_bound, star_product=star,
-    )
-
-
-def bound_theorem4(q: int, genus: int, n: int, t: int, m: int, c: int) -> BoundReport:
-    """Genus >= 2 bound on the qualified proportion in the regime 0 <= m - t < g."""
-    d = m - t
-    if not 0 <= d < genus:
-        raise RegimeMismatchError(f"need 0 <= m - t < g, got m-t={d}, g={genus}")
-    return _star_bound(q, genus, n, t, c, d)
-
-
-def bound_regime2(q: int, genus: int, n: int, t: int, m: int, c: int) -> BoundReport:
-    """Companion bound on the *unqualified* proportion when g <= m - t < 2g.
-
-    Same expression evaluated at the residual degree 2g - 1 - (m - t).
-    """
-    if not genus <= m - t < 2 * genus:
-        raise RegimeMismatchError(f"need g <= m - t < 2g, got m-t={m - t}, g={genus}")
-    return _star_bound(q, genus, n, t, c, 2 * genus - 1 - (m - t))
+    m_value, ratio = _li_wan_ratio(n, t, min(phi, float(n)))
+    tail = (sq + 1) ** (2 * genus) * scale * factor * ratio
+    return BoundReport(phi, m_value, lead, tail, lead + tail)
 
 
 # --- geometric sanity checks ---------------------------------------------------
@@ -445,9 +427,12 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.genus < 1:
             raise ValueError("genus must be >= 1")
+        # genus only picks the searched curves; sweep_rows checks an explicit
+        # curve's offsets against that curve's own genus
+        top = 2 * self.genus if not self.curves else math.inf
         for off in self.offsets:
-            if not 0 <= off < 2 * self.genus:
-                raise ValueError(f"offset {off} outside the gray zone [0, {2 * self.genus})")
+            if not 0 <= off < top:
+                raise ValueError(f"offset {off} outside the gray zone [0, {top})")
 
 
 def _config_curves(config: ExperimentConfig) -> list[Curve]:
@@ -501,10 +486,8 @@ def sweep_rows(config: ExperimentConfig) -> list[dict]:
             est = estimates[t]
             if g == 1:
                 bound = bound_theorem3(n, t, group.order, phi).total
-            elif off < g:
-                bound = bound_theorem4(q, g, n, t, m, c).total
             else:
-                bound = bound_regime2(q, g, n, t, m, c).total
+                bound = bound_theorem4(q, g, n, t, m, c).total
             rows.append({
                 "q": q,
                 "curve": format_curve_spec(curve),

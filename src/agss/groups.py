@@ -690,8 +690,6 @@ class LiWanReport:
     main_term: float
     deviation: float
     bound: float
-    amplitude: float
-    m_value: float
     holds: bool
 
 
@@ -708,13 +706,12 @@ def li_wan_bound_check(group: AbelianGroup, points: Sequence[GroupElement], t: i
     deviation = abs(Fraction(count) - main)
     phi = amplitude(group, pts)
     if t == 0:
-        m_value, bound = 0.0, 1.0  # C(M, 0) = 1 regardless of M
+        bound = 1.0  # C(M, 0) = 1 regardless of M
     else:
-        m_value = li_wan_m(n, t, min(phi, float(n)))
-        bound = math.exp(log_generalized_binomial(m_value, t))
+        bound = math.exp(log_generalized_binomial(li_wan_m(n, t, min(phi, float(n))), t))
     dev = float(deviation)
     holds = dev <= bound + 1e-9 * max(1.0, bound)
-    return LiWanReport(count, float(main), dev, bound, phi, m_value, holds)
+    return LiWanReport(count, float(main), dev, bound, holds)
 
 
 # --- sieve identity ----------------------------------------------------------

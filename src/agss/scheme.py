@@ -91,11 +91,14 @@ class OracleDisagreementError(Exception):
 
 
 class CodeBasisError(ArithmeticError):
-    """The code bases are inconsistent mod p: the generator matrix lost rank,
-    or the share-code basis is zero at P0 or not orthogonal to it.  Each is a
-    bug: ``check_degree``'s m <= n - 1 gives the evaluation map full rank on
-    the players alone, so some share-code word is nonzero at P0, and
-    ``omega_matrix`` is the nullspace of ``gen_matrix``.
+    """The code bases are inconsistent: the monomial basis's pole orders are
+    not 0..m minus the Weierstrass gaps 1, 3, ..., 2g - 1 at infinity, the
+    generator matrix lost rank mod p, or the share-code basis is zero at P0
+    or not orthogonal to it.  Each is a bug: ``check_degree``'s m >= 2g - 1
+    gives the pole space exactly those orders (Riemann-Roch), its m <= n - 1
+    gives the evaluation map full rank on the players alone, so some
+    share-code word is nonzero at P0, and ``omega_matrix`` is the nullspace
+    of ``gen_matrix``.
     """
 
 
@@ -248,12 +251,17 @@ def _check_orthogonal(gen: np.ndarray, omega: np.ndarray, p: int) -> None:
 
 def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> SchemeInstance:
     """Validate the configuration and materialize both code bases, checking
-    that they are orthogonal mod p (``CodeBasisError`` otherwise)."""
+    the monomial basis against Riemann-Roch and that the bases are
+    orthogonal mod p (``CodeBasisError`` otherwise)."""
     players = tuple(players)
     check_layout(curve, p0, players, m)
     pts = (p0, *players)
 
     basis = rr_basis(curve, m)
+    # Riemann-Roch: one monomial per pole order in 0..m but the gaps, so m - g + 1
+    gaps = range(1, 2 * curve.genus, 2)
+    if sorted(basis.pole_orders) != [k for k in range(m + 1) if k not in gaps]:
+        raise CodeBasisError(f"the pole orders of the degree-{m} basis are not 0..{m} minus the Weierstrass gaps")
     p = curve.field.p
     gen = basis_values(curve, basis, pts)  # rows = basis functions, cols = points
 

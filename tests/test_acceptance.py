@@ -24,7 +24,6 @@ from agss.experiments import (
     ExperimentConfig,
     bound_theorem3,
     bound_theorem4,
-    bound_regime2,
     find_elliptic_curve,
     find_hyperelliptic_curve,
     hasse_checks,
@@ -407,7 +406,7 @@ def test_criterion_6_genus2_monte_carlo(sweep4_rows, sweep3_rows):
         c = len(enumerate_points(curve)) - sch.n
         rep = bound_theorem4(q, 2, sch.n, sch.m, sch.m, c)
         assert rep.total > 0
-        rep2 = bound_regime2(q, 2, sch.n, sch.m - 3, sch.m, c)
+        rep2 = bound_theorem4(q, 2, sch.n, sch.m - 3, sch.m, c)
         assert rep2.total > 0
     for row in sweep3_rows[0]:
         if row["offset"] == 0 and row["p_hat"] > row["bound"]:

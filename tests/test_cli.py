@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from agss.cli import main
-from agss.curves import elliptic_curve
-from agss.experiments import CSV_HEADER, standard_scheme, exact_proportion_elliptic
-from agss.scheme import share
+from agss.curves import elliptic_curve, group_structure, parse_curve_spec, point_count
+from agss.experiments import CSV_HEADER, standard_layout, standard_scheme, exact_proportion_elliptic
+from agss.groups import cofinite_amplitude
+from agss.scheme import enumerate_access, share
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -283,6 +285,10 @@ FAILURES = [
                  id="bound4-without-q"),
     pytest.param(["bound", "--theorem", "3", "--n", "10", "--t", "20", "--group-order", "5", "--phi", "2"], 2,
                  id="bound3-t-above-n"),
+    pytest.param(["bound", "--theorem", "4", "--q", "101", "--genus", "2", "--n", "102", "--t", "47", "--m", "51",
+                  "--c", "2"], 2, id="bound4-offset-2g"),
+    pytest.param(["bound", "--theorem", "4", "--q", "101", "--genus", "2", "--n", "102", "--t", "52", "--m", "51",
+                  "--c", "2"], 2, id="bound4-negative-offset"),
     pytest.param(["bound", "--theorem", "4", "--q", "101", "--genus", "2", "--n", "10", "--t", "20", "--m", "20", "--c", "2"],
                  2, id="bound4-t-above-n"),
     pytest.param(["scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5", "--action", "share", "--secret", "5", "--seed", "-1"],
@@ -432,6 +438,51 @@ def test_bound_command(capsys):
         "--q", "101", "--genus", "2", "--m", "44", "--c", "2",
     )
     assert code == 2  # regime mismatch
+
+
+def _reference_rows(name):
+    with open(ROOT / "bench" / "reference" / name, encoding="utf-8") as fh:
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+
+def _row_id(row):
+    return f"q{row['q']}-offset{row['offset']}"
+
+
+@pytest.mark.parametrize("row", _reference_rows("theorem4-samples200.csv"), ids=_row_id)
+def test_bound_theorem4_prints_the_sweeps_bound(capsys, row):
+    # every gray-zone offset, 0 <= m - t < 2g, is one theorem-4 call
+    c = point_count(parse_curve_spec(row["curve"])) - int(row["n"])
+    code, out, _ = run(capsys, "bound", "--theorem", "4", "--q", row["q"], "--genus", row["g"], "--n", row["n"],
+                       "--t", row["t"], "--m", row["m"], "--c", str(c))
+    assert code == 0
+    assert f"total={row['bound']}" in out.splitlines()
+
+
+@pytest.mark.parametrize("row", _reference_rows("theorem3.csv"), ids=_row_id)
+def test_bound_theorem3_prints_the_sweeps_bound(capsys, row):
+    curve = parse_curve_spec(row["curve"])
+    table = group_structure(curve)
+    p0, _, _ = standard_layout(curve, 0.5)
+    phi = cofinite_amplitude(table.group, [table.group.identity, table.log(p0)])
+    code, out, _ = run(capsys, "bound", "--theorem", "3", "--n", row["n"], "--t", row["t"],
+                       "--group-order", str(point_count(curve)), "--phi", repr(phi))
+    assert code == 0
+    assert f"total={row['bound']}" in out.splitlines()
+
+
+def test_experiment_explicit_genus2_curve_sweeps_offsets_past_g(tmp_path, capsys):
+    # the offsets are checked against the curve's own genus, not the config's
+    out = tmp_path / "x.csv"
+    spec = "hyp:p=19,f=1,0,0,0,0,1"
+    code, _, _ = run(capsys, "experiment", "--curve", spec, "--mode", "exhaustive", "--t-offset", "2,3",
+                     "--seed", "1", "--out", str(out))
+    assert code == 0
+    rows = list(csv.DictReader(line for line in out.read_text().splitlines() if not line.startswith("#")))
+    scheme = standard_scheme(parse_curve_spec(spec), 0.5)
+    assert [(int(r["t"]), int(r["qualified"])) for r in rows] == [
+        (t, enumerate_access(scheme, t).qualified) for t in (scheme.m - 2, scheme.m - 3)
+    ]
 
 
 def _write_config(path, body):

@@ -38,7 +38,6 @@ from agss.experiments import (
     ExperimentConfig,
     RegimeMismatchError,
     UnsupportedOffsetError,
-    bound_regime2,
     bound_theorem3,
     bound_theorem4,
     curve_char_sum,
@@ -325,7 +324,7 @@ def test_bounds_reject_a_subset_size_above_n():
     with pytest.raises(ValueError, match=r"t=20 out of range 0\.\.10"):
         bound_theorem4(101, 2, 10, 20, 20, 2)
     with pytest.raises(ValueError, match=r"t=-1 out of range 0\.\.10"):
-        bound_regime2(101, 2, 10, -1, 1, 2)
+        bound_theorem4(101, 2, 10, -1, 1, 2)
 
 
 def test_bound_theorem4_examples():
@@ -334,10 +333,11 @@ def test_bound_theorem4_examples():
     rep = bound_theorem4(q, g, n, t, m, c)
     sq = math.sqrt(q)
     assert rep.main_term == pytest.approx((2 * sq / (sq - 1) - q / (q - 1)) / q)
+    # m - t = g bounds the unqualified proportion at the residual degree g - 1
+    assert bound_theorem4(101, 2, 99, 40, 42, 2).total == 0.5550375922574218
+    assert bound_theorem4(101, 2, 99, 47, 50, 2).total > 0  # m - t = 2g - 1, degree 0
     with pytest.raises(RegimeMismatchError):
-        bound_theorem4(101, 2, 99, 40, 42, 2)  # m - t = g
-    with pytest.raises(RegimeMismatchError):
-        bound_regime2(101, 2, 99, 41, 42, 2)  # m - t < g
+        bound_theorem4(101, 2, 99, 38, 42, 2)  # m - t = 2g
 
     # leading term decreases along a fixed-delta sweep in q
     prev = None
@@ -358,13 +358,7 @@ def test_bounds_reject_degenerate_inputs():
         with pytest.raises(ValueError, match="field size"):
             bound_theorem4(q, 2, 10, 5, 6, 2)
         with pytest.raises(ValueError, match="field size"):
-            bound_regime2(q, 2, 10, 5, 7, 2)
-
-
-def test_bound_regime2_fields():
-    rep = bound_regime2(101, 2, 99, 47, 50, 2)  # m - t = 3, s = 0
-    assert rep.h_window is not None and rep.w_bound is not None
-    assert rep.total > 0
+            bound_theorem4(q, 2, 10, 5, 7, 2)
 
 
 def test_hasse_checks():

@@ -18,6 +18,7 @@ from agss.curves import (
     elliptic_curve,
     eval_basis,
     hyperelliptic_curve,
+    parse_curve_spec,
 )
 from agss import field
 from agss import scheme as scheme_module
@@ -339,6 +340,38 @@ def test_scheme_build_rejects_a_generator_matrix_that_lost_rank(monkeypatch):
     monkeypatch.setattr(agss.scheme, "basis_values", repeated)
     with pytest.raises(CodeBasisError, match="lost rank"):
         scheme_build(curve, pts[0], pts[1:], 5)
+
+
+# faults in rr_basis's monomials; the basis is sorted by pole order, so the
+# top monomial is the last
+RR_BASIS_FAULTS = {
+    "drop-top": lambda exps: exps[:-1],
+    "top-times-x": lambda exps: exps[:-1] + ((exps[-1][0] + 1, exps[-1][1]),),
+    "extra-x-power": lambda exps: exps + ((exps[-1][0] + 1, 0),),
+}
+
+
+@pytest.mark.parametrize("spec, m", [("ec:p=13,a=1,b=1", 5), ("hyp:p=19,f=1,0,0,0,0,1", 9)])
+@pytest.mark.parametrize("fault", RR_BASIS_FAULTS.values(), ids=RR_BASIS_FAULTS.keys())
+def test_scheme_build_rejects_a_basis_off_riemann_roch(monkeypatch, spec, m, fault):
+    # at genus 2 gen and omega come from the same wrong basis, so they stay
+    # orthogonal and no oracle disagrees: only the pole orders show the fault
+    import dataclasses
+
+    import agss.scheme
+
+    rr_basis = agss.scheme.rr_basis
+
+    def corrupted(curve, m):
+        basis = rr_basis(curve, m)
+        return dataclasses.replace(basis, exponents=fault(basis.exponents))
+
+    curve = parse_curve_spec(spec)
+    pts = affine_points(curve)
+    scheme_build(curve, pts[0], pts[1:], m)
+    monkeypatch.setattr(agss.scheme, "rr_basis", corrupted)
+    with pytest.raises(CodeBasisError, match="pole orders"):
+        scheme_build(curve, pts[0], pts[1:], m)
 
 
 def test_orthogonality_check_is_exact_past_int64():
