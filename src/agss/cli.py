@@ -8,10 +8,11 @@ Exit codes: 0 success; 2 bad input: any ``ValueError`` (every agss error
 reporting a bad argument or configuration is one), an unusable file or a
 malformed INI file; 3 singular or malformed curve; 4 reconstruction from an
 unqualified subset; 5 oracle disagreement (internal bug signal); 6 declared
-DP or enumeration budget exceeded.  Commands raise; ``main`` assigns every
-code from one table, one row per failure family, prints one ``error:`` line
-and lets any other exception propagate with its traceback, such as the
-``ArithmeticError`` bug signals ``CodeBasisError`` and ``ClosedFormError``.
+DP (work or table size) or enumeration budget exceeded.  Commands raise;
+``main`` assigns every code from one table, one row per failure family,
+prints one ``error:`` line and lets any other exception propagate with its
+traceback, such as the ``ArithmeticError`` bug signals ``CodeBasisError``
+and ``ClosedFormError``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .experiments import (
 )
 from .groups import (
     BudgetExceededError,
+    check_dp_budget,
     li_wan_bound_check,
     parse_group_spec,
 )
@@ -185,16 +187,18 @@ def cmd_scheme(args) -> int:
     return EXIT_OK
 
 
-def _parse_point_set(group, text: str):
+def _parse_point_set(group, text: str, t: int):
     """'full', 'full-minus:<el>;<el>', or explicit '<el>;<el>;...' where each
-    element is a comma-separated residue tuple."""
+    element is a comma-separated residue tuple.  The size-t count's budget
+    (``check_dp_budget``) is checked on the set's size before G is listed."""
     text = text.strip()
-    if text == "full":
-        return list(group.elements())
-    if text.startswith("full-minus:"):
+    if text == "full" or text.startswith("full-minus:"):
         removed = {_parse_element(group, e) for e in text[len("full-minus:"):].split(";") if e.strip()}
+        check_dp_budget(group.order - len(removed), t, group.order)
         return [a for a in group.elements() if a not in removed]
-    return [_parse_element(group, e) for e in text.split(";") if e.strip()]
+    points = [_parse_element(group, e) for e in text.split(";") if e.strip()]
+    check_dp_budget(len(points), t, group.order)
+    return points
 
 
 def _parse_element(group, text: str):
@@ -204,7 +208,7 @@ def _parse_element(group, text: str):
 
 def cmd_count(args) -> int:
     group = parse_group_spec(args.group)
-    points = _parse_point_set(group, args.pointset)
+    points = _parse_point_set(group, args.pointset, args.t)
     target = _parse_element(group, args.b)
     report = li_wan_bound_check(group, points, args.t, target)
     print(f"count={report.count}")

@@ -14,8 +14,9 @@ without listing them; ``iter_points`` streams them in (x, y) order and
 ``enumerate_points`` is that stream as a cached tuple.
 
 Fixing the distinguished pole point at infinity makes the space of functions
-with pole order at most m a clean span of monomials x^i y^j (j in {0, 1}),
-which is what the code constructions downstream consume.
+with pole order at most m a clean span of monomials x^i y^j (j in {0, 1});
+``rr_basis`` lists their exponent pairs (i, j), which is what the code
+constructions downstream consume.
 """
 
 from __future__ import annotations
@@ -197,6 +198,10 @@ class Curve:
     def genus(self) -> int:
         return (len(self.f) - 2) // 2
 
+    def pole_order(self, i: int, j: int) -> int:
+        """The pole order 2i + (2g + 1)j of x^i y^j at infinity."""
+        return 2 * i + (2 * self.genus + 1) * j
+
     # a and b of x^3 + a x + b at genus 1
     @property
     def a(self) -> int:
@@ -286,9 +291,9 @@ def point_count(curve: Curve) -> int:
     """Number of rational points, infinity included: p + 1 + sum_x chi(f(x)).
 
     chi is the quadratic character, computed by Euler's criterion
-    f(x)^((p-1)/2) mod p on int64 blocks of ``_COUNT_BLOCK`` values of x,
-    so memory stays bounded for every p below 2^31 (a product of two
-    residues stays below 2^62).  No point is listed.
+    f(x)^((p-1)/2) mod p (``groups._multiple``) on int64 blocks of
+    ``_COUNT_BLOCK`` values of x, so memory stays bounded for every p below
+    2^31 (a product of two residues stays below 2^62).  No point is listed.
     """
     p = curve.field.p
     count = p + 1
@@ -297,13 +302,7 @@ def point_count(curve: Curve) -> int:
         f = np.zeros_like(x)
         for c in reversed(curve.f):
             f = (f * x + c) % p
-        chi = np.ones_like(x)
-        e = (p - 1) // 2
-        while e:
-            if e & 1:
-                chi = chi * f % p
-            f = f * f % p
-            e >>= 1
+        chi = _multiple(lambda a, b: a * b % p, np.ones_like(x), (p - 1) // 2, f)
         count += np.count_nonzero(chi == 1) - np.count_nonzero(chi == p - 1)
     return int(count)
 
@@ -393,50 +392,26 @@ def group_structure(curve: Curve) -> GroupTable:
 
 # --- function space bases ----------------------------------------------------
 
-@dataclass(frozen=True)
-class MonomialBasis:
-    """Monomials x^i y^j spanning the functions with pole order <= m at infinity.
-
-    The pole order of x^i y^j is 2i + (2g+1)j; restricting j to {0, 1} and
-    bounding the pole order yields a basis with pairwise distinct pole orders.
-    """
-
-    genus: int
-    bound: int
-    exponents: tuple[tuple[int, int], ...]
-
-    def __len__(self):
-        return len(self.exponents)
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-    def pole_order(self, i: int, j: int) -> int:
-        return 2 * i + (2 * self.genus + 1) * j
-
-    @property
-    def pole_orders(self) -> tuple[int, ...]:
-        return tuple(self.pole_order(i, j) for i, j in self.exponents)
-
-
-def rr_basis(curve: Curve, m: int) -> MonomialBasis:
-    """Monomial basis of the degree-m pole space at infinity.
+def rr_basis(curve: Curve, m: int) -> tuple[tuple[int, int], ...]:
+    """Monomial basis of the degree-m pole space at infinity, as exponent
+    pairs (i, j): the monomials x^i y^j with j in {0, 1} and pole order
+    ``curve.pole_order(i, j)`` <= m, sorted by their pole orders, which are
+    pairwise distinct.
 
     For m >= 2g - 1 the basis has exactly m - g + 1 elements.
     """
     if m < 0:
         raise ValueError(f"pole bound must be nonnegative, got {m}")
-    g = curve.genus
-    w = 2 * g + 1
+    w = curve.pole_order(0, 1)
     pairs = [(i, 0) for i in range(m // 2 + 1)]
     pairs += [(i, 1) for i in range((m - w) // 2 + 1)] if m >= w else []
-    pairs.sort(key=lambda ij: 2 * ij[0] + w * ij[1])
-    return MonomialBasis(g, m, tuple(pairs))
+    return tuple(sorted(pairs, key=lambda ij: curve.pole_order(*ij)))
 
 
-def basis_values(curve: Curve, basis: MonomialBasis, points: Sequence[Point]) -> np.ndarray:
-    """Every basis monomial at every affine point: a len(basis) x len(points)
-    int64 array whose column k holds point k's values, reduced mod p.
+def basis_values(curve: Curve, basis: Sequence[tuple[int, int]], points: Sequence[Point]) -> np.ndarray:
+    """Every monomial x^i y^j of ``basis``, given by its exponents (i, j), at
+    every affine point: a len(basis) x len(points) int64 array whose column
+    k holds point k's values, reduced mod p.
 
     Each point is checked on the curve first (``PointNotOnCurveError``; the
     point at infinity raises ``EvalAtInfinityError``), then one table of
@@ -450,7 +425,7 @@ def basis_values(curve: Curve, basis: MonomialBasis, points: Sequence[Point]) ->
     p = curve.field.p
     xs = np.array([pt.x for pt in points], dtype=np.int64)
     ys = np.array([pt.y for pt in points], dtype=np.int64)
-    exponents = np.array(basis.exponents, dtype=np.int64).reshape(-1, 2)
+    exponents = np.array(basis, dtype=np.int64).reshape(-1, 2)
     powers = np.ones((exponents[:, 0].max(initial=0) + 1, len(xs)), dtype=np.int64)
     for i in range(1, len(powers)):
         powers[i] = powers[i - 1] * xs % p
@@ -460,7 +435,7 @@ def basis_values(curve: Curve, basis: MonomialBasis, points: Sequence[Point]) ->
     return values
 
 
-def eval_basis(curve: Curve, basis: MonomialBasis, pt: Point) -> tuple[int, ...]:
+def eval_basis(curve: Curve, basis: Sequence[tuple[int, int]], pt: Point) -> tuple[int, ...]:
     """Evaluate every basis monomial at an affine point: ``basis_values`` at
     the one point, as a tuple of ints."""
     return tuple(basis_values(curve, basis, [pt])[:, 0].tolist())

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -49,12 +50,9 @@ from .curves import (
 )
 from .groups import (
     AbelianGroup,
-    Character,
     GroupElement,
-    TrivialCharacterError,
     UnsupportedExclusionError,
     amplitude,  # unused here, but bench/probes.py wraps agss.experiments.amplitude
-    char_sum,
     cofinite_amplitude,
     cofinite_subset_sum_counts,
     li_wan_m,
@@ -236,7 +234,9 @@ def mc_proportion(
     """Sampled qualified proportion over uniform size-t complements.
 
     The sample budget is split into fixed-size chunks seeded by
-    (seed, chunk index), so results do not depend on the worker count.
+    (seed, chunk index), so results do not depend on the worker count.  A
+    process pool starts all its workers at once, so it gets at most one per
+    chunk and per usable CPU.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -247,7 +247,9 @@ def mc_proportion(
     if samples % MC_CHUNK:
         sizes.append(samples % MC_CHUNK)
     tasks = [(scheme, t, base + (ci,), sz, oracle) for ci, sz in enumerate(sizes)]
-    if workers > 1 and len(tasks) > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(tasks), cpus)
+    if workers > 1:
         # imported here: the pool pulls in multiprocessing, socket and
         # subprocess, which a serial sweep should not pay for at start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -332,13 +334,6 @@ def hasse_checks(curve: Curve) -> HasseReport:
     # Jac(E) = E(F_q), so the Jacobian window (sqrt(q) -+ 1)^2 is the Hasse window
     jacobian_ok = count_ok if g == 1 else None
     return HasseReport(count, g, q, count_ok, jacobian_ok)
-
-
-def curve_char_sum(table, chi: Character, points) -> complex:
-    """Character sum over curve points through their group coordinates."""
-    if chi.is_trivial:
-        raise TrivialCharacterError("the trivial character is excluded")
-    return char_sum(table.group, chi, table.logs(points))
 
 
 # --- deterministic experiment setup ---------------------------------------------

@@ -38,7 +38,11 @@ import numpy as np
 
 from .field import is_prime, matvec_array
 
+# the dynamic program's limits: n*t*N steps, and (t+1)*N cells of one uint64
+# table per modulus, so a table takes at most 64 MiB; the largest planned
+# table, genus 2 at q = 211 (98 x 44 694, about 4.4e6 cells), fits
 DP_BUDGET = 2**31
+DP_CELLS = 2**23
 SIEVE_MAX_T = 10
 SIEVE_MAX_N = 14
 
@@ -47,17 +51,13 @@ class TrivialGroupError(ValueError):
     """Amplitude is undefined on the one-element group."""
 
 
-class TrivialCharacterError(ValueError):
-    """A nontrivial character was required."""
-
-
 class InvalidCycleTypeError(ValueError):
     """Cycle counts do not add up to a permutation of the stated size."""
 
 
 class BudgetExceededError(Exception):
-    """A declared budget would be exceeded: the dynamic program's
-    n*t*N <= 2^31, or an enumeration limit (``InstanceTooLargeError``)."""
+    """A declared budget would be exceeded: the dynamic program's limits
+    (``check_dp_budget``), or an enumeration limit (``InstanceTooLargeError``)."""
 
 
 class InstanceTooLargeError(BudgetExceededError):
@@ -410,6 +410,18 @@ class SubsetSumRows(Sequence):
         return self._crt(operator.index(s), [operator.index(i)])[0]
 
 
+def check_dp_budget(n: int, t: int, size: int) -> None:
+    """ValueError unless 0 <= t <= n, then ``BudgetExceededError`` unless the
+    dynamic program over n points of a group of order ``size`` fits both
+    ``DP_BUDGET`` and ``DP_CELLS``; it needs n and t alone, not the points."""
+    if not 0 <= t <= n:
+        raise ValueError(f"subset size t={t} out of range 0..{n}")
+    if n * t * size > DP_BUDGET:
+        raise BudgetExceededError(f"n*t*N = {n * t * size} exceeds the 2^31 budget")
+    if (t + 1) * size > DP_CELLS:
+        raise BudgetExceededError(f"(t+1)*N = {(t + 1) * size} table cells exceed the 2^23 budget")
+
+
 def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int) -> SubsetSumRows:
     """DP table of subset-sum counts.
 
@@ -420,16 +432,12 @@ def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int
     C(n, s), s <= t.  Per point a the active rows take one gather and one
     add, rows[1:k+1] += rows[:k][:, index(i - a)], and for a prime p a
     conditional subtract min(x, x - p), which wraps when x < p.  Memory is
-    the residue tables, (t+1) * N words per modulus, plus one gather
-    buffer; rows are rebuilt by CRT only when read.
+    the residue tables, (t+1) * N words per modulus (``check_dp_budget``),
+    plus one gather buffer; rows are rebuilt by CRT only when read.
     """
     pts = _check_point_set(group, points)
-    n = len(pts)
-    if not 0 <= t <= n:
-        raise ValueError(f"subset size t={t} out of range 0..{n}")
-    size = group.order
-    if n * t * size > DP_BUDGET:
-        raise BudgetExceededError(f"n*t*N = {n * t * size} exceeds the 2^31 budget")
+    n, size = len(pts), group.order
+    check_dp_budget(n, t, size)
 
     bound = math.comb(n, min(t, n // 2))  # the largest count in rows 0..t
     moduli = _moduli(bound)
@@ -771,7 +779,3 @@ def parse_group_spec(spec: str) -> AbelianGroup:
     except ValueError as exc:
         raise ValueError(f"bad group spec {spec!r}: {exc}") from exc
     return AbelianGroup(factors)
-
-
-def format_group_spec(group: AbelianGroup) -> str:
-    return "ab:" + ",".join(str(d) for d in group.factors)

@@ -37,7 +37,6 @@ import numpy as np
 
 from .curves import (
     Curve,
-    MonomialBasis,
     Point,
     basis_values,
     eval_basis,  # unused here, but bench/probes.py wraps agss.scheme.eval_basis
@@ -140,6 +139,7 @@ class ShareVector:
 class SchemeInstance:
     """A fully materialized scheme: curve, points, degree, and both codes.
 
+    ``basis`` holds the exponents (i, j) of the monomials x^i y^j (``rr_basis``).
     ``gen_matrix`` is the (m - g + 1) x (n + 1) evaluation matrix with
     column j holding the basis values at point j (the secret position is
     column 0); ``omega_matrix`` rows form the canonical nullspace basis,
@@ -155,7 +155,7 @@ class SchemeInstance:
     p0: Point
     players: tuple[Point, ...]
     m: int
-    basis: MonomialBasis
+    basis: tuple[tuple[int, int], ...]
     gen_matrix: np.ndarray
     omega_matrix: np.ndarray
     pivots: tuple[int, ...]
@@ -260,7 +260,7 @@ def scheme_build(curve: Curve, p0: Point, players: Iterable[Point], m: int) -> S
     basis = rr_basis(curve, m)
     # Riemann-Roch: one monomial per pole order in 0..m but the gaps, so m - g + 1
     gaps = range(1, 2 * curve.genus, 2)
-    if sorted(basis.pole_orders) != [k for k in range(m + 1) if k not in gaps]:
+    if sorted(curve.pole_order(i, j) for i, j in basis) != [k for k in range(m + 1) if k not in gaps]:
         raise CodeBasisError(f"the pole orders of the degree-{m} basis are not 0..{m} minus the Weierstrass gaps")
     p = curve.field.p
     gen = basis_values(curve, basis, pts)  # rows = basis functions, cols = points

@@ -277,6 +277,11 @@ def test_count_parse_error(capsys):
 FAILURES = [
     pytest.param(["count", "--group", "ab:5", "--pointset", "full", "--t", "9", "--b", "0"], 2, id="count-t-above-n"),
     pytest.param(["count", "--group", "ab:1", "--pointset", "full", "--t", "0", "--b", "0"], 2, id="count-trivial-group"),
+    # the DP's budget is checked on n, t and N before the point set is listed
+    pytest.param(["count", "--group", "ab:1000000000", "--pointset", "0", "--t", "0", "--b", "0"], 6,
+                 id="count-table-cells-over-budget"),
+    pytest.param(["count", "--group", "ab:100000000", "--pointset", "full", "--t", "2", "--b", "0"], 6,
+                 id="count-full-set-over-budget"),
     pytest.param(["bound", "--theorem", "3", "--n", "10", "--t", "5", "--group-order", "0", "--phi", "2"], 2,
                  id="bound3-group-order-0"),
     pytest.param(["bound", "--theorem", "4", "--q", "1", "--genus", "2", "--n", "10", "--t", "5", "--m", "6", "--c", "2"],
@@ -330,6 +335,33 @@ def test_failures_exit_with_one_error_line(capsys, tmp_path, argv, code):
     if "--seed" in argv and argv[argv.index("--seed") + 1] == "-1":
         # the message names the value, not only numpy's "expected non-negative integer"
         assert "-1" in err.splitlines()[0]
+
+
+@pytest.mark.parametrize("group, pointset, t", [("ab:1000000000", "0", "0"), ("ab:100000000", "full", "2")])
+def test_count_over_budget_exits_before_allocating(group, pointset, t):
+    # nothing that grows with the group order is allocated before the budget
+    # check, so a group of 10^8 or 10^9 elements is refused at once; a small
+    # wrapper process runs the command, because a child's peak RSS counts the
+    # memory of the process it was started from
+    script = (
+        "import resource, subprocess, sys, time\n"
+        "start = time.monotonic()\n"
+        "done = subprocess.run([sys.executable, '-m', 'agss.cli', *sys.argv[1:]], capture_output=True, text=True)\n"
+        "elapsed = time.monotonic() - start\n"
+        "peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
+        "print(done.returncode, elapsed, peak_mb, done.stderr.splitlines()[0])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, "count", "--group", group, "--pointset", pointset, "--t", t, "--b", "0"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    code, elapsed, peak_mb, error = result.stdout.split(maxsplit=3)
+    assert code == "6"
+    assert error.startswith("error: ") and "budget" in error
+    assert float(elapsed) < 5, f"{elapsed} s"
+    assert float(peak_mb) < 64, f"{peak_mb} MB"
 
 
 def test_unexpected_errors_propagate(tmp_path, monkeypatch):

@@ -18,9 +18,9 @@ from agss.curves import (
 )
 from agss.groups import (
     BudgetExceededError,
-    TrivialCharacterError,
     UnsupportedExclusionError,
     amplitude,
+    char_sum,
     cofinite_subset_sum_counts,
     li_wan_m,
     log_generalized_binomial,
@@ -40,7 +40,6 @@ from agss.experiments import (
     UnsupportedOffsetError,
     bound_theorem3,
     bound_theorem4,
-    curve_char_sum,
     exact_proportion_elliptic,
     find_elliptic_curve,
     find_hyperelliptic_curve,
@@ -263,6 +262,34 @@ def test_mc_worker_independence():
     assert serial == parallel
 
 
+def test_mc_pool_is_capped_at_the_chunks(monkeypatch):
+    # a process pool starts all its workers at once; 2048 samples are two
+    # chunks, so the pool gets at most two, however many workers are asked
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    sch = small_elliptic_scheme()
+    t = sch.m - 1
+    capped = mc_proportion(sch, t, 2048, seed=11, workers=10**6)
+    assert sizes in ([], [2])  # no pool on a one-CPU machine
+    assert capped == mc_proportion(sch, t, 2048, seed=11, workers=1)
+
+
 def test_bound_theorem3_examples():
     n, t = 20, 1
     rep = bound_theorem3(n, t, 50, 0.0)
@@ -387,12 +414,9 @@ def test_curve_char_sum():
     pts = enumerate_points(curve)
     chi = next(c for c in group.characters() if not c.is_trivial)
     # full point set: orthogonality
-    assert abs(curve_char_sum(table, chi, pts)) < 1e-9
+    assert abs(char_sum(group, chi, table.logs(pts))) < 1e-9
     # all but two points: complement bound
-    assert abs(curve_char_sum(table, chi, pts[2:])) <= 2 + 1e-9
-    with pytest.raises(TrivialCharacterError):
-        trivial = group.character((0,) * len(group.factors))
-        curve_char_sum(table, trivial, pts)
+    assert abs(char_sum(group, chi, table.logs(pts[2:]))) <= 2 + 1e-9
 
 
 def test_find_curves_deterministic():
