@@ -212,9 +212,9 @@ def cmd_count(args) -> int:
     target = _parse_element(group, args.b)
     report = li_wan_bound_check(group, points, args.t, target)
     print(f"count={report.count}")
-    print(f"main_term={report.main_term!r}")
-    print(f"deviation={report.deviation!r}")
-    print(f"bound={report.bound!r}")
+    print(f"main_term={report.main_term}")
+    print(f"deviation={report.deviation}")
+    print(f"bound={report.bound}")
     print(f"holds={str(report.holds).lower()}")
     return EXIT_OK
 

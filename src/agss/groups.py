@@ -15,8 +15,9 @@ Two exact counters.  ``subset_sum_table`` takes any point set: a dynamic
 program in numpy on uint64 residues modulo 2^64 and a few primes just below
 2^62, enough that their product exceeds C(n, t), with a row of Python ints
 rebuilt by the Chinese remainder theorem only when it is read; memory is
-one (t+1) x N word table per modulus.  ``cofinite_subset_sum_counts`` takes
-the whole group minus the identity and one more point, the shape of an
+one word table per modulus, shaped (t+1, d1, ..., dk) so that adding a
+point is a cyclic shift.  ``cofinite_subset_sum_counts`` takes the whole
+group minus the identity and one more point, the shape of an
 elliptic scheme's players: the whole-group count has a closed form in
 binomials and character sums per divisibility class, and the two excluded
 points enter through (1 + z)^(-1) and (1 + pz)^(-1), in one pass over the
@@ -31,8 +32,8 @@ import math
 import operator
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -102,14 +103,6 @@ class AbelianGroup:
     def identity(self) -> GroupElement:
         return (0,) * len(self.factors)
 
-    @cached_property
-    def _strides(self) -> tuple[int, ...]:
-        # mixed-radix strides, last coordinate fastest
-        strides = [1] * len(self.factors)
-        for i in range(len(self.factors) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.factors[i + 1]
-        return tuple(strides)
-
     def contains(self, a: GroupElement) -> bool:
         return len(a) == len(self.factors) and all(
             isinstance(v, (int, np.integer)) and 0 <= v < d for v, d in zip(a, self.factors)
@@ -128,10 +121,8 @@ class AbelianGroup:
         return tuple(-x % d for x, d in zip(a, self.factors))
 
     def index(self, a: GroupElement) -> int:
-        return sum(v * s for v, s in zip(a, self._strides))
-
-    def element_at(self, idx: int) -> GroupElement:
-        return tuple((idx // s) % d for s, d in zip(self._strides, self.factors))
+        """a's column in the count tables, their C order: last coordinate fastest."""
+        return int(np.ravel_multi_index(a, self.factors))
 
     def elements(self) -> Iterator[GroupElement]:
         return itertools.product(*(range(d) for d in self.factors))
@@ -379,14 +370,15 @@ def _moduli(bound: int) -> tuple[int, ...]:
 class SubsetSumRows(Sequence):
     """Read-only rows[s][i] of exact subset-sum counts, held as residues.
 
-    One (t+1) x N uint64 table per entry of ``moduli``; row s is rebuilt as
-    a tuple of Python ints by the Chinese remainder theorem the first time
-    it is read, and kept.  ``cell(s, i)`` rebuilds one count without the row.
+    One (t+1, d1, ..., dk) uint64 table per entry of ``moduli``, read as
+    (t+1) x N by a reshape that copies nothing; row s is rebuilt as a tuple
+    of Python ints by the Chinese remainder theorem the first time it is
+    read, and kept.  ``cell(s, i)`` rebuilds one count without the row.
     """
 
     def __init__(self, moduli: tuple[int, ...], tables: list[np.ndarray]):
         self.moduli = moduli
-        self._tables = tables
+        self._tables = [tab.reshape(len(tab), -1) for tab in tables]
         self._total = math.prod(moduli)
         # x = sum_j r_j * c_j mod M with c_j = 1 mod m_j and 0 mod the others
         self._coeffs = tuple((self._total // m) * pow(self._total // m, -1, m) for m in moduli)
@@ -413,11 +405,12 @@ class SubsetSumRows(Sequence):
 def check_dp_budget(n: int, t: int, size: int) -> None:
     """ValueError unless 0 <= t <= n, then ``BudgetExceededError`` unless the
     dynamic program over n points of a group of order ``size`` fits both
-    ``DP_BUDGET`` and ``DP_CELLS``; it needs n and t alone, not the points."""
+    ``DP_BUDGET`` (as n*max(t, 1)*N, so that listing the points of a t = 0
+    count is bounded too) and ``DP_CELLS``; it needs n and t, not the points."""
     if not 0 <= t <= n:
         raise ValueError(f"subset size t={t} out of range 0..{n}")
-    if n * t * size > DP_BUDGET:
-        raise BudgetExceededError(f"n*t*N = {n * t * size} exceeds the 2^31 budget")
+    if n * max(t, 1) * size > DP_BUDGET:
+        raise BudgetExceededError(f"n*max(t,1)*N = {n * max(t, 1) * size} exceeds the 2^31 budget")
     if (t + 1) * size > DP_CELLS:
         raise BudgetExceededError(f"(t+1)*N = {(t + 1) * size} table cells exceed the 2^23 budget")
 
@@ -429,40 +422,34 @@ def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int
     element with index i, for every 0 <= s <= t, as exact Python ints.
     The DP runs in numpy once per modulus: 2^64 (uint64 wrap-around) and
     enough primes just below 2^62 that their product exceeds every count
-    C(n, s), s <= t.  Per point a the active rows take one gather and one
-    add, rows[1:k+1] += rows[:k][:, index(i - a)], and for a prime p a
+    C(n, s), s <= t.  A table has the group's shape (t+1, d1, ..., dk), so
+    per point a the active rows take one cyclic shift along the group axes
+    and one add, rows[1:k+1] += roll(rows[:k], a), and for a prime p a
     conditional subtract min(x, x - p), which wraps when x < p.  Memory is
     the residue tables, (t+1) * N words per modulus (``check_dp_budget``),
-    plus one gather buffer; rows are rebuilt by CRT only when read.
+    plus one shifted copy; rows are rebuilt by CRT only when read.
     """
     pts = _check_point_set(group, points)
-    n, size = len(pts), group.order
-    check_dp_budget(n, t, size)
+    n = len(pts)
+    check_dp_budget(n, t, group.order)
 
     bound = math.comb(n, min(t, n // 2))  # the largest count in rows 0..t
     moduli = _moduli(bound)
 
-    idx = np.arange(size, dtype=np.int64)
-    strides = np.array(group._strides, dtype=np.int64)
-    factors = np.array(group.factors, dtype=np.int64)
-    digits = (idx[:, None] // strides[None, :]) % factors[None, :]
-
-    tables = [np.zeros((t + 1, size), dtype=np.uint64) for _ in moduli]
+    tables = [np.zeros((t + 1, *group.factors), dtype=np.uint64) for _ in moduli]
     for tab in tables:
-        tab[0, 0] = 1  # the empty subset sums to the identity (index 0)
-    gathered = np.empty((t, size), dtype=np.uint64)
-    for count, a in enumerate(pts, start=1):
+        tab.flat[0] = 1  # the empty subset sums to the identity
+    axes = tuple(range(1, len(group.factors) + 1))
+    for count, a in enumerate(pts if t else (), start=1):  # at t = 0 no point is added
         k = min(count, t)
-        src = ((digits - np.array(a, dtype=np.int64)) % factors) @ strides
-        buf = gathered[:k]
         for modulus, tab in zip(moduli, tables):
             cur = tab[1:k + 1]
-            # indices are in range; mode="clip" keeps take from buffering out
-            np.take(tab[:k], src, axis=1, out=buf, mode="clip")
-            cur += buf
+            shifted = np.roll(tab[:k], a, axis=axes)
+            cur += shifted
             if modulus != _WORD_MODULUS:
-                np.subtract(cur, np.uint64(modulus), out=buf)
-                np.minimum(cur, buf, out=cur)
+                np.subtract(cur, np.uint64(modulus), out=shifted)
+                np.minimum(cur, shifted, out=cur)
+            del shifted  # so one shifted copy is alive at a time
     return SubsetSumRows(moduli, tables)
 
 
@@ -666,8 +653,6 @@ def log_generalized_binomial(x: float, t: int) -> float:
     Requires all factors x - i (i < t) to be nonnegative, which holds for
     every M produced by the deviation bound (M >= t - 1).
     """
-    if t == 0:
-        return 0.0
     acc = 0.0
     for i in range(t):
         f = x - i
@@ -692,34 +677,48 @@ def li_wan_m(n: int, t: int, phi: float) -> float:
     return max(phi + t - 1, (n + phi) / 2, (n - phi) / 3 + phi + t - 1)
 
 
+_WIDE = Context(prec=17)  # a float's 17 significant figures, with no exponent limit
+
+
 @dataclass(frozen=True)
 class LiWanReport:
     count: int
-    main_term: float
-    deviation: float
-    bound: float
+    main_term: float | Decimal  # a Decimal past the float range, so str prints a number
+    deviation: float | Decimal
+    bound: float | Decimal
     holds: bool
+
+
+def _real(x: Fraction) -> float | Decimal:
+    try:
+        return float(x)
+    except OverflowError:
+        return _WIDE.divide(x.numerator, x.denominator)
 
 
 def li_wan_bound_check(group: AbelianGroup, points: Sequence[GroupElement], t: int, target: GroupElement) -> LiWanReport:
     """Check |N(t, B, P) - C(n, t)/N| <= C(M, t) on one instance.
 
     The inequality is a theorem; ``holds`` coming back False signals an
-    implementation bug, not a mathematical possibility.
+    implementation bug, not a mathematical possibility.  It is decided in
+    log space on the exact deviation, within bound + 1e-9 max(1, bound).
+    C(M, 0) = 1 whatever M is, so the amplitude is computed only for t >= 1.
     """
     pts = _check_point_set(group, points)
     n = len(pts)
+    if group.order < 2:
+        raise TrivialGroupError("the deviation bound needs a group of order >= 2")
     count = subset_sum_count(group, pts, t, target)
     main = Fraction(math.comb(n, t), group.order)
-    deviation = abs(Fraction(count) - main)
-    phi = amplitude(group, pts)
-    if t == 0:
-        bound = 1.0  # C(M, 0) = 1 regardless of M
-    else:
-        bound = math.exp(log_generalized_binomial(li_wan_m(n, t, min(phi, float(n))), t))
-    dev = float(deviation)
-    holds = dev <= bound + 1e-9 * max(1.0, bound)
-    return LiWanReport(count, float(main), dev, bound, holds)
+    deviation = abs(count - main)
+    log_bound = log_generalized_binomial(li_wan_m(n, t, min(amplitude(group, pts), float(n))), t) if t else 0.0
+    slack = np.logaddexp(log_bound, math.log(1e-9) + max(log_bound, 0.0))
+    holds = not deviation or math.log(deviation.numerator) - math.log(deviation.denominator) <= slack
+    try:
+        bound = math.exp(log_bound)
+    except OverflowError:
+        bound = _WIDE.exp(Decimal(log_bound))
+    return LiWanReport(count, _real(main), _real(deviation), bound, bool(holds))
 
 
 # --- sieve identity ----------------------------------------------------------

@@ -1,8 +1,11 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -262,10 +265,39 @@ def test_count_command(capsys):
     assert code == 0
     assert "count=2" in out
     assert "holds=true" in out
+    assert out == "count=2\nmain_term=2.0\ndeviation=0.0\nbound=2.2222222222222237\nholds=true\n"
     code, out, _ = run(
         capsys, "count", "--group", "ab:5", "--pointset", "full", "--t", "0", "--b", "0",
     )
     assert "count=1" in out
+    assert out == "count=1\nmain_term=0.2\ndeviation=0.8\nbound=1.0\nholds=true\n"
+
+
+@pytest.mark.parametrize("group, t, wide", [("ab:1100", 550, {"main_term"}), ("ab:1000", 1000, {"bound"})])
+def test_count_prints_values_past_the_float_range(capsys, monkeypatch, group, t, wide):
+    # C(1100, 550)/1100 and C(1332.3, 1000) exceed the largest float; the DP
+    # would take minutes here, so the count comes from the whole-group closed form
+    import agss.groups
+
+    def closed_form_count(g, points, size, target):
+        assert len(points) == g.order
+        return agss.groups.cofinite_subset_sum_counts(g, [], [(size, target)])[0]
+
+    monkeypatch.setattr(agss.groups, "subset_sum_count", closed_form_count)
+    code, out, _ = run(capsys, "count", "--group", group, "--pointset", "full", "--t", str(t), "--b", "0")
+    assert code == 0
+    values = dict(line.split("=") for line in out.splitlines())
+    assert values["holds"] == "true"
+    order = int(group[3:])
+    main = Fraction(math.comb(order, t), order)
+    exact = {"main_term": main, "deviation": abs(int(values["count"]) - main)}
+    for name in ("main_term", "deviation", "bound"):
+        value = Decimal(values[name])
+        assert value.is_finite()
+        assert (value > Decimal(sys.float_info.max)) == (name in wide), name
+        if name in exact:
+            assert abs(Fraction(value) / exact[name] - 1) < 1e-15, name
+    assert Decimal(values["deviation"]) <= Decimal(values["bound"])
 
 
 def test_count_parse_error(capsys):
@@ -282,6 +314,9 @@ FAILURES = [
                  id="count-table-cells-over-budget"),
     pytest.param(["count", "--group", "ab:100000000", "--pointset", "full", "--t", "2", "--b", "0"], 6,
                  id="count-full-set-over-budget"),
+    # at t = 0 the work bound is n*max(t, 1)*N, so listing 10^6 points is refused
+    pytest.param(["count", "--group", "ab:1000000", "--pointset", "full", "--t", "0", "--b", "0"], 6,
+                 id="count-full-set-at-t-0-over-budget"),
     pytest.param(["bound", "--theorem", "3", "--n", "10", "--t", "5", "--group-order", "0", "--phi", "2"], 2,
                  id="bound3-group-order-0"),
     pytest.param(["bound", "--theorem", "4", "--q", "1", "--genus", "2", "--n", "10", "--t", "5", "--m", "6", "--c", "2"],
@@ -337,31 +372,55 @@ def test_failures_exit_with_one_error_line(capsys, tmp_path, argv, code):
         assert "-1" in err.splitlines()[0]
 
 
-@pytest.mark.parametrize("group, pointset, t", [("ab:1000000000", "0", "0"), ("ab:100000000", "full", "2")])
-def test_count_over_budget_exits_before_allocating(group, pointset, t):
-    # nothing that grows with the group order is allocated before the budget
-    # check, so a group of 10^8 or 10^9 elements is refused at once; a small
-    # wrapper process runs the command, because a child's peak RSS counts the
-    # memory of the process it was started from
-    script = (
-        "import resource, subprocess, sys, time\n"
-        "start = time.monotonic()\n"
-        "done = subprocess.run([sys.executable, '-m', 'agss.cli', *sys.argv[1:]], capture_output=True, text=True)\n"
-        "elapsed = time.monotonic() - start\n"
-        "peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
-        "print(done.returncode, elapsed, peak_mb, done.stderr.splitlines()[0])\n"
-    )
+# runs the CLI in a small wrapper process, because a child's peak RSS counts
+# the memory of the process it was started from; the wrapper's own timeout
+# kills the CLI process, which the outer timeout would leave running
+MEASURED_RUN = (
+    "import json, resource, subprocess, sys, time\n"
+    "start = time.monotonic()\n"
+    "done = subprocess.run([sys.executable, '-m', 'agss.cli', *sys.argv[1:]], capture_output=True, text=True,\n"
+    "                      timeout=50)\n"
+    "elapsed = time.monotonic() - start\n"
+    "peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024\n"
+    "print(json.dumps([done.returncode, elapsed, peak_mb, done.stdout, done.stderr]))\n"
+)
+
+
+def run_measured(*argv):
+    """(exit code, seconds, peak RSS in MB, stdout, stderr) of one CLI process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", script, "count", "--group", group, "--pointset", pointset, "--t", t, "--b", "0"],
-        capture_output=True, text=True, env=env, check=True, timeout=60,
+        [sys.executable, "-c", MEASURED_RUN, *argv], capture_output=True, text=True, env=env, check=True, timeout=60,
     )
-    code, elapsed, peak_mb, error = result.stdout.split(maxsplit=3)
-    assert code == "6"
+    return json.loads(result.stdout)
+
+
+@pytest.mark.parametrize(
+    "group, pointset, t", [("ab:1000000000", "0", "0"), ("ab:100000000", "full", "2"), ("ab:1000000", "full", "0")]
+)
+def test_count_over_budget_exits_before_allocating(group, pointset, t):
+    # nothing that grows with the group order is allocated before the budget
+    # check, so a group of 10^8 or 10^9 elements, or 10^6 points at t = 0, is
+    # refused at once
+    code, elapsed, peak_mb, _, err = run_measured("count", "--group", group, "--pointset", pointset, "--t", t, "--b", "0")
+    error = err.splitlines()[0]
+    assert code == 6
     assert error.startswith("error: ") and "budget" in error
-    assert float(elapsed) < 5, f"{elapsed} s"
-    assert float(peak_mb) < 64, f"{peak_mb} MB"
+    assert elapsed < 5, f"{elapsed} s"
+    assert peak_mb < 64, f"{peak_mb} MB"
+
+
+@pytest.mark.parametrize("group, pointset", [("ab:20000", "full"), ("ab:8000000", "0")])
+def test_count_at_t_0_adds_no_point_and_needs_no_amplitude(group, pointset):
+    # 2*10^4 points are only listed and checked; of the 1 x 8*10^6 table, the
+    # largest DP_CELLS admits, one cell is touched, and the bound C(M, 0) = 1
+    # needs no amplitude
+    code, elapsed, peak_mb, out, _ = run_measured("count", "--group", group, "--pointset", pointset, "--t", "0", "--b", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "count=1"
+    assert elapsed < 2, f"{elapsed} s"
+    assert peak_mb < 128, f"{peak_mb} MB"
 
 
 def test_unexpected_errors_propagate(tmp_path, monkeypatch):
