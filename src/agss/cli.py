@@ -11,8 +11,9 @@ unqualified subset; 5 oracle disagreement (internal bug signal); 6 declared
 DP (work or table size) or enumeration budget exceeded.  Commands raise;
 ``main`` assigns every code from one table, one row per failure family,
 prints one ``error:`` line and lets any other exception propagate with its
-traceback, such as the ``ArithmeticError`` bug signals ``CodeBasisError``
-and ``ClosedFormError``.
+traceback, such as the ``ArithmeticError`` bug signals ``CodeBasisError``,
+``ClosedFormError`` and ``DeviationBoundError`` (``count`` prints its five
+lines first).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .experiments import (
 )
 from .groups import (
     BudgetExceededError,
+    DeviationBoundError,
     check_dp_budget,
     li_wan_bound_check,
     parse_group_spec,
@@ -216,6 +218,8 @@ def cmd_count(args) -> int:
     print(f"deviation={report.deviation}")
     print(f"bound={report.bound}")
     print(f"holds={str(report.holds).lower()}")
+    if not report.holds:
+        raise DeviationBoundError("the count breaks the deviation bound: this is a bug in the library")
     return EXIT_OK
 
 

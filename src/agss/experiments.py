@@ -311,6 +311,8 @@ def bound_theorem4(q: int, genus: int, n: int, t: int, m: int, c: int) -> BoundR
         raise ValueError(f"field size must be >= 2, got {q}")
     if not 0 <= t <= n:
         raise ValueError(f"subset size t={t} out of range 0..{n}")
+    if c < 0:
+        raise ValueError(f"c, the rational points left out of the player set, must be >= 0, got {c}")
     sq = math.sqrt(q)
     phi = (2 * genus - 2) * sq + c
     factor = 2 * genus * sq / (sq - 1) - q / (q - 1)

@@ -11,14 +11,16 @@ resulting deviation bound
 with M = max{Phi + t - 1, (n + Phi)/2, (n - Phi)/3 + Phi + t - 1}, where
 Phi is the amplitude of P.
 
-Two exact counters.  ``subset_sum_table`` takes any point set: a dynamic
+Two exact counters.  ``subset_sum_count`` takes any point set: a dynamic
 program in numpy on uint64 residues modulo 2^64 and a few primes just below
-2^62, enough that their product exceeds C(n, t), with a row of Python ints
-rebuilt by the Chinese remainder theorem only when it is read; memory is
-one word table per modulus, shaped (t+1, d1, ..., dk) so that adding a
-point is a cyclic shift.  ``cofinite_subset_sum_counts`` takes the whole
-group minus the identity and one more point, the shape of an
-elliptic scheme's players: the whole-group count has a closed form in
+2^62, enough that their product exceeds C(n, t), run one modulus after
+another on a word table shaped (t+1, d1, ..., dk), so that adding a point
+is a cyclic shift.  Each table gives up the requested cells and is dropped
+before the next, so a count holds one table and one shift buffer; the
+cells are rebuilt as Python ints by the Chinese remainder theorem
+(``subset_sum_table`` keeps them all).  ``cofinite_subset_sum_counts``
+takes the whole group minus the identity and one more point, the shape of
+an elliptic scheme's players: the whole-group count has a closed form in
 binomials and character sums per divisibility class, and the two excluded
 points enter through (1 + z)^(-1) and (1 + pz)^(-1), in one pass over the
 subset size in exact Python ints with no table over G or over the sizes.
@@ -39,9 +41,10 @@ import numpy as np
 
 from .field import is_prime, matvec_array
 
-# the dynamic program's limits: n*t*N steps, and (t+1)*N cells of one uint64
-# table per modulus, so a table takes at most 64 MiB; the largest planned
-# table, genus 2 at q = 211 (98 x 44 694, about 4.4e6 cells), fits
+# the dynamic program's limits: n*t*N steps, and (t+1)*N cells of a uint64
+# table; the moduli run one after another, so a count holds one table and one
+# shift buffer, at most 2 x 64 MiB; the largest planned table, genus 2 at
+# q = 211 (98 x 44 694, about 4.4e6 cells), fits
 DP_BUDGET = 2**31
 DP_CELLS = 2**23
 SIEVE_MAX_T = 10
@@ -73,6 +76,13 @@ class ClosedFormError(ArithmeticError):
     """The whole-group closed form left a remainder on division by |G|.
 
     The division is exact by theorem, so this signals an implementation bug.
+    """
+
+
+class DeviationBoundError(ArithmeticError):
+    """An exact count broke the deviation bound |N(t, B, P) - C(n, t)/N| <= C(M, t).
+
+    The bound is a theorem, so this signals an implementation bug.
     """
 
 
@@ -367,46 +377,13 @@ def _moduli(bound: int) -> tuple[int, ...]:
     return tuple(moduli)
 
 
-class SubsetSumRows(Sequence):
-    """Read-only rows[s][i] of exact subset-sum counts, held as residues.
-
-    One (t+1, d1, ..., dk) uint64 table per entry of ``moduli``, read as
-    (t+1) x N by a reshape that copies nothing; row s is rebuilt as a tuple
-    of Python ints by the Chinese remainder theorem the first time it is
-    read, and kept.  ``cell(s, i)`` rebuilds one count without the row.
-    """
-
-    def __init__(self, moduli: tuple[int, ...], tables: list[np.ndarray]):
-        self.moduli = moduli
-        self._tables = [tab.reshape(len(tab), -1) for tab in tables]
-        self._total = math.prod(moduli)
-        # x = sum_j r_j * c_j mod M with c_j = 1 mod m_j and 0 mod the others
-        self._coeffs = tuple((self._total // m) * pow(self._total // m, -1, m) for m in moduli)
-        self._rows: list[tuple[int, ...] | None] = [None] * tables[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def _crt(self, s: int, cols) -> tuple[int, ...]:
-        residues = zip(*(tab[s, cols].tolist() for tab in self._tables))
-        return tuple(sum(map(operator.mul, r, self._coeffs)) % self._total for r in residues)
-
-    def __getitem__(self, s: int) -> tuple[int, ...]:
-        s = operator.index(s)
-        row = self._rows[s]
-        if row is None:
-            row = self._rows[s] = self._crt(s, slice(None))
-        return row
-
-    def cell(self, s: int, i: int) -> int:
-        return self._crt(operator.index(s), [operator.index(i)])[0]
-
-
 def check_dp_budget(n: int, t: int, size: int) -> None:
     """ValueError unless 0 <= t <= n, then ``BudgetExceededError`` unless the
     dynamic program over n points of a group of order ``size`` fits both
     ``DP_BUDGET`` (as n*max(t, 1)*N, so that listing the points of a t = 0
-    count is bounded too) and ``DP_CELLS``; it needs n and t, not the points."""
+    count is bounded too) and ``DP_CELLS``; it needs n and t, not the points.
+    The moduli run one after another, so the DP holds one (t+1)*N table and
+    one shift buffer, at most 2 x 64 MiB."""
     if not 0 <= t <= n:
         raise ValueError(f"subset size t={t} out of range 0..{n}")
     if n * max(t, 1) * size > DP_BUDGET:
@@ -415,34 +392,34 @@ def check_dp_budget(n: int, t: int, size: int) -> None:
         raise BudgetExceededError(f"(t+1)*N = {(t + 1) * size} table cells exceed the 2^23 budget")
 
 
-def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int) -> SubsetSumRows:
-    """DP table of subset-sum counts.
+def _subset_sum_cells(group: AbelianGroup, points: Sequence[GroupElement], t: int, index):
+    """The exact counts at ``index`` of the (t+1) x N table rows[s][i], the
+    number of s-subsets of P whose group sum is the element with index i.
 
-    Returns rows[s][i] = number of s-subsets of P whose group sum is the
-    element with index i, for every 0 <= s <= t, as exact Python ints.
-    The DP runs in numpy once per modulus: 2^64 (uint64 wrap-around) and
-    enough primes just below 2^62 that their product exceeds every count
-    C(n, s), s <= t.  A table has the group's shape (t+1, d1, ..., dk), so
-    per point a the active rows take one cyclic shift along the group axes
-    and one add, rows[1:k+1] += roll(rows[:k], a), and for a prime p a
-    conditional subtract min(x, x - p), which wraps when x < p.  Memory is
-    the residue tables, (t+1) * N words per modulus (``check_dp_budget``),
-    plus one shifted copy; rows are rebuilt by CRT only when read.
+    The DP runs in numpy once per modulus, one modulus after another: 2^64
+    (uint64 wrap-around) and enough primes just below 2^62 that their
+    product exceeds every count C(n, s), s <= t.  A table has the group's
+    shape (t+1, d1, ..., dk), so per point a the active rows take one
+    cyclic shift along the group axes and one add,
+    rows[1:k+1] += roll(rows[:k], a), and for a prime p a conditional
+    subtract min(x, x - p), which wraps when x < p.  Only the cells at
+    ``index`` outlive their table; they are rebuilt as Python ints by the
+    Chinese remainder theorem, an int for one cell and an object array for
+    a slice.
     """
     pts = _check_point_set(group, points)
     n = len(pts)
     check_dp_budget(n, t, group.order)
 
-    bound = math.comb(n, min(t, n // 2))  # the largest count in rows 0..t
-    moduli = _moduli(bound)
-
-    tables = [np.zeros((t + 1, *group.factors), dtype=np.uint64) for _ in moduli]
-    for tab in tables:
-        tab.flat[0] = 1  # the empty subset sums to the identity
+    moduli = _moduli(math.comb(n, min(t, n // 2)))  # the largest count in rows 0..t
+    total = math.prod(moduli)
     axes = tuple(range(1, len(group.factors) + 1))
-    for count, a in enumerate(pts if t else (), start=1):  # at t = 0 no point is added
-        k = min(count, t)
-        for modulus, tab in zip(moduli, tables):
+    cells = 0
+    for modulus in moduli:
+        tab = np.zeros((t + 1, *group.factors), dtype=np.uint64)
+        tab.flat[0] = 1  # the empty subset sums to the identity
+        for count, a in enumerate(pts if t else (), start=1):  # at t = 0 no point is added
+            k = min(count, t)
             cur = tab[1:k + 1]
             shifted = np.roll(tab[:k], a, axis=axes)
             cur += shifted
@@ -450,13 +427,24 @@ def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int
                 np.subtract(cur, np.uint64(modulus), out=shifted)
                 np.minimum(cur, shifted, out=cur)
             del shifted  # so one shifted copy is alive at a time
-    return SubsetSumRows(moduli, tables)
+        # x = sum_j r_j c_j mod M with c_j = 1 mod m_j and 0 mod the others
+        coeff = (total // modulus) * pow(total // modulus, -1, modulus)
+        cells = cells + tab.reshape(t + 1, -1)[index].astype(object) * coeff
+        del tab  # so one table is alive at a time
+    return cells % total
+
+
+def subset_sum_table(group: AbelianGroup, points: Sequence[GroupElement], t: int) -> list[tuple[int, ...]]:
+    """rows[s][i] = number of s-subsets of P whose group sum is the element
+    with index i, for every 0 <= s <= t: the t + 1 rows as tuples of exact
+    Python ints, rebuilt at once (``_subset_sum_cells``)."""
+    return [tuple(row) for row in _subset_sum_cells(group, points, t, slice(None)).tolist()]
 
 
 def subset_sum_count(group: AbelianGroup, points: Sequence[GroupElement], t: int, target: GroupElement) -> int:
-    """Exact count of t-subsets of P whose group sum equals target."""
-    rows = subset_sum_table(group, points, t)
-    return rows.cell(t, group.index(group.check(target)))
+    """Exact count of t-subsets of P whose group sum equals target; the DP
+    keeps one cell of each residue table."""
+    return _subset_sum_cells(group, points, t, (t, group.index(group.check(target))))
 
 
 # --- counts on the whole group minus a few points -------------------------------

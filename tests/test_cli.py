@@ -300,6 +300,19 @@ def test_count_prints_values_past_the_float_range(capsys, monkeypatch, group, t,
     assert Decimal(values["deviation"]) <= Decimal(values["bound"])
 
 
+def test_count_breaking_the_bound_is_a_bug_signal(capsys, monkeypatch):
+    # the bound is a theorem, so a count outside it is a library bug: the five
+    # lines are printed, then the error keeps its traceback (exit 1)
+    import agss.groups
+
+    monkeypatch.setattr(agss.groups, "subset_sum_count", lambda g, points, t, target: 10**6)
+    with pytest.raises(agss.groups.DeviationBoundError):
+        main(["count", "--group", "ab:5", "--pointset", "full", "--t", "2", "--b", "0"])
+    out = capsys.readouterr().out
+    assert out.splitlines() == ["count=1000000", "main_term=2.0", "deviation=999998.0", "bound=2.2222222222222237",
+                                "holds=false"]
+
+
 def test_count_parse_error(capsys):
     code, _, _ = run(capsys, "count", "--group", "xx:5", "--t", "1", "--b", "0")
     assert code == 2
@@ -331,6 +344,11 @@ FAILURES = [
                   "--c", "2"], 2, id="bound4-negative-offset"),
     pytest.param(["bound", "--theorem", "4", "--q", "101", "--genus", "2", "--n", "10", "--t", "20", "--m", "20", "--c", "2"],
                  2, id="bound4-t-above-n"),
+    # c counts rational points left out of the player set
+    pytest.param(["bound", "--theorem", "4", "--q", "101", "--genus", "1", "--n", "10", "--t", "4", "--m", "5", "--c", "-3"],
+                 2, id="bound4-genus-1-negative-c"),
+    pytest.param(["bound", "--theorem", "4", "--q", "101", "--genus", "2", "--n", "10", "--t", "3", "--m", "5", "--c", "-3"],
+                 2, id="bound4-genus-2-negative-c"),
     pytest.param(["scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5", "--action", "share", "--secret", "5", "--seed", "-1"],
                  2, id="share-negative-seed"),
     pytest.param(["scheme", "--curve", "ec:p=13,a=1,b=1", "--m", "5", "--action", "reconstruct", "--subset", "99",
@@ -370,6 +388,9 @@ def test_failures_exit_with_one_error_line(capsys, tmp_path, argv, code):
     if "--seed" in argv and argv[argv.index("--seed") + 1] == "-1":
         # the message names the value, not only numpy's "expected non-negative integer"
         assert "-1" in err.splitlines()[0]
+    if "--c" in argv and argv[argv.index("--c") + 1] == "-3":
+        # the message names c, not the amplitude -3.0 that it made at genus 1
+        assert "c, the rational points left out" in err.splitlines()[0]
 
 
 # runs the CLI in a small wrapper process, because a child's peak RSS counts
@@ -421,6 +442,15 @@ def test_count_at_t_0_adds_no_point_and_needs_no_amplitude(group, pointset):
     assert out.splitlines()[0] == "count=1"
     assert elapsed < 2, f"{elapsed} s"
     assert peak_mb < 128, f"{peak_mb} MB"
+
+
+def test_count_holds_one_dp_table_at_a_time():
+    # 9 moduli of a 521 x 1040 table (4.3 MB each); holding all of them peaked at 75 MB
+    pointset = ";".join(str(i) for i in range(0, 1040, 2))
+    code, _, peak_mb, out, _ = run_measured("count", "--group", "ab:1040", "--pointset", pointset, "--t", "520", "--b", "0")
+    assert code == 0
+    assert out.splitlines()[-1] == "holds=true"
+    assert peak_mb < 56, f"{peak_mb} MB"
 
 
 def test_unexpected_errors_propagate(tmp_path, monkeypatch):

@@ -185,8 +185,24 @@ def assert_table_matches_reference(group, points, t):
     assert sum(rows[t]) == math.comb(len(points), t)
     assert rows[-1] == rows[t]
     last = max(range(group.order), key=lambda i: ref[t][i])
-    assert rows.cell(t, last) == ref[t][last]
+    count = subset_sum_count(group, points, t, list(group.elements())[last])
+    assert type(count) is int and count == ref[t][last]
     return rows
+
+
+@pytest.fixture
+def moduli_used(monkeypatch):
+    """How many moduli each subset-sum DP ran, in call order."""
+    used = []
+    moduli = groups_module._moduli
+
+    def spy(bound):
+        result = moduli(bound)
+        used.append(len(result))
+        return result
+
+    monkeypatch.setattr(groups_module, "_moduli", spy)
+    return used
 
 
 @pytest.mark.parametrize("factors", [(7,), (2, 6), (3, 6), (4, 8), (60,)])
@@ -200,25 +216,24 @@ def test_subset_sum_table_matches_reference_dp(factors):
         rows = assert_table_matches_reference(g, pts, t)
     with pytest.raises(IndexError):
         rows[n + 1]
-    with pytest.raises(TypeError):
-        rows[0] = rows[1]  # read-only
 
 
 @pytest.mark.parametrize("q, moduli", [(101, 2), (211, 4)])
-def test_subset_sum_table_matches_reference_on_sweep_points(q, moduli):
+def test_subset_sum_table_matches_reference_on_sweep_points(q, moduli, moduli_used):
     scheme = standard_scheme(find_elliptic_curve(q), 0.5)
     group = group_structure(scheme.curve).group
-    rows = assert_table_matches_reference(group, scheme.images[1:], scheme.m)
-    assert len(rows.moduli) == moduli
+    assert_table_matches_reference(group, scheme.images[1:], scheme.m)
+    assert moduli_used == [moduli, moduli]  # the table, then the count
 
 
-def test_subset_sum_table_across_the_word_boundary():
+def test_subset_sum_table_across_the_word_boundary(moduli_used):
     # rows 0..t need a second modulus exactly when C(n, s) first reaches 2^64
     g = AbelianGroup((68,))
     pts = list(g.elements())
     t0 = next(t for t in range(len(pts) + 1) if math.comb(len(pts), t) >= 2**64)
-    assert len(assert_table_matches_reference(g, pts, t0 - 1).moduli) == 1
-    assert len(assert_table_matches_reference(g, pts, t0).moduli) == 2
+    assert_table_matches_reference(g, pts, t0 - 1)
+    assert_table_matches_reference(g, pts, t0)
+    assert moduli_used == [1, 1, 2, 2]
     # counts themselves above 2^64, so the uint64 table alone wraps
     g = AbelianGroup((76,))
     rows = assert_table_matches_reference(g, list(g.elements()), 38)
@@ -241,6 +256,23 @@ def test_subset_sum_table_matches_enumeration(data):
                 total = g.add(total, a)
             brute[g.index(total)] += 1
         assert list(rows[s]) == brute
+
+
+def test_subset_sum_count_holds_one_table_at_a_time(moduli_used):
+    # the one 520-subset of the 520 even points sums to 2 (0 + ... + 519) = 520
+    # mod 1040; holding all 9 residue tables at once peaked at 10 tables
+    g = AbelianGroup((1040,))
+    pts = [(i,) for i in range(0, 1040, 2)]
+    t = 520
+    table_bytes = (t + 1) * g.order * 8
+    tracemalloc.start()
+    try:
+        count = subset_sum_count(g, pts, t, (520,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1 and moduli_used == [9]
+    assert peak < 3 * table_bytes, f"{peak / table_bytes:.2f} tables"
 
 
 def test_subset_sum_budget():
@@ -275,14 +307,14 @@ def test_cofinite_count_sums_to_the_binomial_on_a_sweep_group():
         assert sum(counts) == math.comb(scheme.n, t)
 
 
-def test_cofinite_count_past_the_word_size_matches_the_dp():
+def test_cofinite_count_past_the_word_size_matches_the_dp(moduli_used):
     g = AbelianGroup((2, 100))
     p = (1, 37)
     excluded = [g.identity, p]
     pts = [a for a in g.elements() if a not in excluded]
     t = 70
     rows = subset_sum_table(g, pts, t)
-    assert len(rows.moduli) > 2 and max(rows[t]) > 2**128
+    assert moduli_used[0] > 2 and max(rows[t]) > 2**128
     counts = cofinite_subset_sum_counts(g, excluded, [(t, b) for b in g.elements()])
     assert counts == list(rows[t])
 
